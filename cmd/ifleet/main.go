@@ -8,13 +8,17 @@
 //
 // Usage:
 //
-//	ifleet run [-workers N] [-trace FILE] scenario.json
+//	ifleet run [-workers N] [-trace FILE] [-cpuprofile F] [-memprofile F] scenario.json
 //	ifleet validate scenario.json
 //
 // run simulates the scenario and prints the per-node summary, the fleet
 // rollup and the assertion verdicts; output is byte-identical for any
 // -workers width. It exits non-zero when an assertion fails or a node
-// errors. validate checks the scenario's schema, cross-references and
+// errors. -trace writes the Chrome trace, one section per node, by
+// simulating each node again straight into the file, so memory stays
+// constant however long the run. -cpuprofile and -memprofile write
+// runtime/pprof profiles of the run (the heap profile is taken at its
+// end). validate checks the scenario's schema, cross-references and
 // assertion shapes without simulating anything.
 package main
 
@@ -33,7 +37,7 @@ func main() {
 }
 
 func usage(stderr io.Writer) int {
-	fmt.Fprintln(stderr, "usage: ifleet run [-workers N] [-trace FILE] scenario.json")
+	fmt.Fprintln(stderr, "usage: ifleet run [-workers N] [-trace FILE] [-cpuprofile F] [-memprofile F] scenario.json")
 	fmt.Fprintln(stderr, "       ifleet validate scenario.json")
 	return 2
 }
@@ -58,6 +62,8 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	workers := fs.Int("workers", 1, "fan-out width across nodes (<=0: GOMAXPROCS)")
 	tracePath := fs.String("trace", "", "write the merged Chrome trace (one section per node)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -69,7 +75,23 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	rep, err := fleet.Run(sc, fleet.Options{Workers: *workers})
+	stopProf, err := iprune.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	code := simulate(sc, *workers, *tracePath, stdout, stderr)
+	if err := stopProf(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return code
+}
+
+// simulate runs the scenario, prints its summary and writes the trace,
+// returning the exit code.
+func simulate(sc *fleet.Scenario, workers int, tracePath string, stdout, stderr io.Writer) int {
+	rep, err := fleet.Run(sc, fleet.Options{Workers: workers})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -78,8 +100,8 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	if *tracePath != "" {
-		if err := iprune.WriteArtifact(*tracePath, rep.WriteTrace); err != nil {
+	if tracePath != "" {
+		if err := iprune.WriteArtifact(tracePath, rep.WriteTrace); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

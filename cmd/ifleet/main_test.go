@@ -100,3 +100,16 @@ func TestUsageAndTraceArtifact(t *testing.T) {
 		}
 	}
 }
+
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code, _, errOut := runCmd(t, "run", "-cpuprofile", cpu, "-memprofile", mem, smokePath); code != 0 {
+		t.Fatalf("run with profiles exit %d: %s", code, errOut)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (err %v)", path, err)
+		}
+	}
+}

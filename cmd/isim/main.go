@@ -230,7 +230,9 @@ func main() {
 	if *histPath != "" || *verbose {
 		m := iprune.NewMetrics()
 		stats.Fill(m)
-		iprune.ObserveModel(m, net)
+		if err := iprune.ObserveModel(m, net); err != nil {
+			log.Fatal(err)
+		}
 		if *histPath != "" {
 			err := iprune.WriteArtifact(*histPath, func(w io.Writer) error {
 				return iprune.WriteHistogramsCSV(w, m)

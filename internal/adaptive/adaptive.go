@@ -48,10 +48,8 @@ func NewSelector(variants []Variant) (*Selector, error) {
 	s := &Selector{cfg: cfg, sim: hawaii.NewCostSim(cfg)}
 	for _, v := range variants {
 		specs := tile.SpecsFromNetwork(v.Net, cfg)
-		for i, p := range v.Net.Prunables() {
-			if p.Mask() == nil {
-				p.InitBlocks(specs[i].TM, specs[i].TK)
-			}
+		if err := tile.EnsureMasks(v.Net, specs); err != nil {
+			return nil, fmt.Errorf("adaptive: variant %s: %w", v.Name, err)
 		}
 		v.schedule = hawaii.ScheduleFromNetwork(v.Net, specs, tile.Intermittent, cfg)
 		if len(v.schedule) == 0 {

@@ -109,3 +109,13 @@ func TestNewSelectorValidates(t *testing.T) {
 		t.Error("expected error for empty variant set")
 	}
 }
+
+func TestNewSelectorRejectsWrongMaskGeometry(t *testing.T) {
+	vs := variantsForTest(t)
+	for _, p := range vs[1].Net.Prunables() {
+		p.InitBlocks(1, 1)
+	}
+	if _, err := NewSelector(vs); err == nil {
+		t.Fatal("variant with mismatched mask geometry accepted")
+	}
+}

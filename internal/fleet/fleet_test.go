@@ -3,9 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"iprune/internal/obs"
 )
 
 func f(v float64) *float64 { return &v }
@@ -209,38 +214,151 @@ func TestRunResultsAndTrace(t *testing.T) {
 	}
 }
 
+// genScenario generates a fleet with one node per telemetry shape — a
+// plain jittered supply, a solar day with brownouts, a harvest change
+// and a model switch — with the event script drawn from seed.
+func genScenario(seed int64) *Scenario {
+	rng := rand.New(rand.NewSource(seed))
+	at := func(max float64) float64 { return math.Round(max*rng.Float64()*1000) / 1000 }
+	sc := &Scenario{
+		Name: fmt.Sprintf("gen-%d", seed), Seed: seed,
+		Nodes: []NodeSpec{
+			{ID: "weak", Model: "HAR", Supply: "weak", Inferences: 3},
+			{ID: "solar", Model: "HAR", Inferences: 2,
+				Solar: &SolarSpec{PeakMW: 10, DurationS: 60, Clouds: 2, Seed: rng.Int63n(1000)}},
+			{ID: "harvest", Model: "HAR", Supply: "strong", Inferences: 3},
+			{ID: "switch", Model: "HAR", Supply: "8mW", Inferences: 3},
+		},
+	}
+	for b := 0; b < 3; b++ {
+		sc.Events = append(sc.Events, EventSpec{AtS: 5 + at(10), Node: "solar", Action: "brownout", DurationS: 0.05 + at(1)})
+	}
+	sc.Events = append(sc.Events,
+		EventSpec{AtS: at(0.5), Node: "harvest", Action: "set-harvest", Supply: "4mW"},
+		EventSpec{AtS: at(0.3), Node: "switch", Action: "switch-model", Model: "CKS"},
+	)
+	return sc
+}
+
+// replay simulates node i of a run again into a recorder, the way
+// WriteTrace regenerates its trace section.
+func replay(rep *Report, i int) []obs.Event {
+	rec := obs.NewRecorder()
+	simulate(rep.nodes[i], rec)
+	return rec.Events()
+}
+
 // TestNodeTimelineMonotonic pins the clock alignment between the
 // cost-simulator's per-run clock and the node's global power timeline:
-// events recorded for one node never go backwards in time across
-// inference boundaries.
+// events regenerated for one node never go backwards in time across
+// inference boundaries, for a plain weak supply and for generated event
+// scripts (solar with brownouts, a harvest change, a model switch).
 func TestNodeTimelineMonotonic(t *testing.T) {
-	sc := &Scenario{
+	weak := &Scenario{
 		Name: "mono", Seed: 3,
 		Nodes: []NodeSpec{{ID: "n", Model: "HAR", Supply: "weak", Inferences: 3}},
 	}
-	rep, err := Run(sc, Options{Workers: 1})
+	for _, sc := range []*Scenario{weak, genScenario(1), genScenario(2)} {
+		rep, err := Run(sc, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range rep.Nodes {
+			if n.Err != nil {
+				t.Fatalf("%s/%s: %v", sc.Name, n.ID, n.Err)
+			}
+			evs := replay(rep, i)
+			if len(evs) == 0 {
+				t.Fatalf("%s/%s: no events regenerated", sc.Name, n.ID)
+			}
+			prev := 0.0
+			for k, ev := range evs {
+				if ev.Time < prev-1e-9 {
+					t.Fatalf("%s/%s: event %d (%v) at %g s runs backwards (prev %g s)", sc.Name, n.ID, k, ev.Kind, ev.Time, prev)
+				}
+				if ev.Time > prev {
+					prev = ev.Time
+				}
+			}
+			if total := n.Latency; math.Abs(prev-total) > total*0.5 {
+				t.Errorf("%s/%s: last event at %g s vs total latency %g s: clocks diverged", sc.Name, n.ID, prev, total)
+			}
+		}
+	}
+}
+
+// TestHubStatsMatchTrace pins that the statistics the hub folds while a
+// run emits are exactly those of the trace WriteTrace regenerates: per
+// node, the device's stats equal Collect over the node simulated again,
+// and the event counts agree with the trace. The trace itself is the
+// same at any worker count and on every call.
+func TestHubStatsMatchTrace(t *testing.T) {
+	smoke, err := Load("../../examples/fleet/smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Nodes[0].Err != nil {
-		t.Fatal(rep.Nodes[0].Err)
-	}
-	evs := rep.hub.Devices()[0].Events()
-	if len(evs) == 0 {
-		t.Fatal("no events recorded")
-	}
-	prev := 0.0
-	for i, ev := range evs {
-		if ev.Time < prev-1e-9 {
-			t.Fatalf("event %d (%v) at %g s runs backwards (prev %g s)", i, ev.Kind, ev.Time, prev)
+	gen := genScenario(7)
+	for _, sc := range []*Scenario{smoke, gen} {
+		var traces [][]byte
+		for _, workers := range []int{1, 4} {
+			rep, err := Run(sc, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded, layerStarts := 0, 0
+			for i, d := range rep.hub.Devices() {
+				evs := replay(rep, i)
+				if got, want := d.Stats(), obs.Collect(evs); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: hub stats differ from Collect over the regenerated events", sc.Name, d.Name)
+				}
+				folded += d.Stats().Events
+				for _, ev := range evs {
+					if ev.Kind == obs.KindLayerStart {
+						layerStarts++
+					}
+				}
+			}
+			var a, b bytes.Buffer
+			if err := rep.WriteTrace(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.WriteTrace(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("%s: a second WriteTrace wrote different bytes", sc.Name)
+			}
+			// The trace renders each layer as one span at its layer-end,
+			// so layer-start events are the only ones it leaves out.
+			if got := traceEvents(t, a.Bytes()); got != folded-layerStarts {
+				t.Errorf("%s: trace has %d events, hub folded %d (%d layer starts)", sc.Name, got, folded, layerStarts)
+			}
+			traces = append(traces, a.Bytes())
 		}
-		if ev.Time > prev {
-			prev = ev.Time
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: trace differs between Workers 1 and 4", sc.Name)
 		}
 	}
-	if total := rep.Nodes[0].Latency; math.Abs(prev-total) > total*0.5 {
-		t.Errorf("last event at %g s vs total latency %g s: clocks diverged", prev, total)
+}
+
+// traceEvents counts a Chrome trace's events, metadata records excluded.
+func traceEvents(t *testing.T, raw []byte) int {
+	t.Helper()
+	var tr struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
 	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	n := 0
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph != "M" {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFailingAssertionFlipsFailed(t *testing.T) {

@@ -59,7 +59,8 @@ type Report struct {
 	Nodes    []NodeResult
 	Checks   []CheckResult
 
-	hub *obs.Hub
+	nodes []*node // compiled plans, simulated again by WriteTrace
+	hub   *obs.Hub
 }
 
 // Run executes the scenario: every node simulates independently (fanned
@@ -79,14 +80,9 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := workers
-	if shards > len(nodes) {
-		shards = len(nodes)
-	}
-	hub := obs.NewHub(shards)
-	// Register every device before the fan-out, in node order: device
-	// identity, shard pinning and trace sections are then independent of
-	// worker scheduling.
+	hub := obs.NewHub(0)
+	// Register every device before the fan-out, in node order, so the
+	// rollup is independent of worker scheduling.
 	devs := make([]*obs.HubDevice, len(nodes))
 	for i, n := range nodes {
 		devs[i] = hub.Device(n.spec.ID, nil)
@@ -113,6 +109,7 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 		Scenario: sc,
 		Nodes:    results,
 		Checks:   evalChecks(sc, results),
+		nodes:    nodes,
 		hub:      hub,
 	}, nil
 }
@@ -121,11 +118,9 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 // clock that restarts at zero for every inference — onto the node's
 // global power timeline (power.Sim's OnTime+OffTime), so a node's trace
 // section is one continuous history across inferences and the power
-// simulator's own events interleave correctly. The wrapped device is
-// held concretely (not as obs.Tracer) so the wrapper never re-enters
-// the interface's devirtualized call graph.
+// simulator's own events interleave correctly.
 type offsetTracer struct {
-	t  *obs.HubDevice
+	t  obs.Tracer
 	dt float64
 }
 
@@ -176,12 +171,30 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 	return quant.AccuracyQ15(quant.QuantizeWeights(net), ds.Test), nil
 }
 
-// runNode simulates one node end to end: one power simulator spans every
-// inference (failures and profile time carry across boundaries), the
-// schedule is rebuilt at each switch-model boundary, and all events flow
-// into the node's hub device.
-func runNode(n *node, dev *obs.HubDevice) NodeResult {
-	r := NodeResult{ID: n.spec.ID, Model: n.spec.Model, Supply: n.label}
+// runNode simulates one node end to end, its events flowing into tr,
+// then probes the deployed accuracy of its final model.
+func runNode(n *node, tr obs.Tracer) NodeResult {
+	r, ran := simulate(n, tr)
+	if !ran {
+		return r
+	}
+	if acc, err := deployedAccuracy(r.Model, n.seed); err == nil {
+		r.Accuracy = acc
+	} else if r.Err == nil {
+		r.Err = err
+	}
+	return r
+}
+
+// simulate runs one node's power and cost simulation: one power
+// simulator spans every inference (failures and profile time carry
+// across boundaries), the schedule is rebuilt at each switch-model
+// boundary, and all events flow into tr. It is deterministic and leaves
+// n untouched, so a second call emits the same events; WriteTrace relies
+// on that. ran is false when a power simulator or schedule could not be
+// built, leaving no final model to probe.
+func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
+	r = NodeResult{ID: n.spec.ID, Model: n.spec.Model, Supply: n.label}
 	if n.spec.DeadlineS > 0 {
 		r.Deadlines = n.spec.Inferences
 	}
@@ -190,22 +203,22 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 		s, err := power.NewTraceSim(power.DefaultBuffer(), *n.trace, n.seed)
 		if err != nil {
 			r.Err = err
-			return r
+			return r, false
 		}
 		sim = s
 	} else {
 		sim = power.NewSim(power.DefaultBuffer(), n.supply, n.seed)
 	}
 	// The power simulator emits on the node's global clock; keep it on
-	// the raw device so RunWithSim does not rebind it to the per-run
+	// the raw tracer so RunWithSim does not rebind it to the per-run
 	// tracer below.
-	sim.Trace = dev
+	sim.Trace = tr
 
 	cfg := tile.DefaultConfig()
 	ops, err := buildSchedule(r.Model, n.seed, cfg)
 	if err != nil {
 		r.Err = err
-		return r
+		return r, false
 	}
 	pending := n.switches
 	for k := 0; k < n.spec.Inferences; k++ {
@@ -220,11 +233,11 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 			r.Switches++
 			if ops, err = buildSchedule(r.Model, n.seed, cfg); err != nil {
 				r.Err = err
-				return r
+				return r, false
 			}
 		}
 		cs := hawaii.NewCostSim(cfg)
-		cs.Trace = &offsetTracer{t: dev, dt: now}
+		cs.Trace = &offsetTracer{t: tr, dt: now}
 		res, err := cs.RunWithSim(ops, tile.Intermittent, sim)
 		r.Latency += res.Latency
 		if err != nil {
@@ -238,12 +251,7 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 	}
 	r.Recoveries = sim.Failures
 	r.Energy = sim.EnergyUsed
-	if acc, err := deployedAccuracy(r.Model, n.seed); err == nil {
-		r.Accuracy = acc
-	} else if r.Err == nil {
-		r.Err = err
-	}
-	return r
+	return r, true
 }
 
 // Failed reports whether any node errored or any assertion failed.
@@ -264,9 +272,20 @@ func (r *Report) Failed() bool {
 // Rollup returns the fleet-wide merged metrics.
 func (r *Report) Rollup() *obs.Metrics { return r.hub.Rollup() }
 
-// WriteTrace writes the merged Chrome trace: one process section per
-// node.
-func (r *Report) WriteTrace(w io.Writer) error { return r.hub.WriteTrace(w) }
+// WriteTrace writes the run's Chrome trace, one process section per
+// node, by simulating each node's power and cost again straight into
+// the stream; the accuracy probe, which emits nothing, is not rerun.
+// Node simulation is deterministic and independent of the run's worker
+// count, so the bytes are the same at any width and on every call, and
+// no event is held in memory.
+func (r *Report) WriteTrace(w io.Writer) error {
+	st := obs.NewStreamTracer(w, nil)
+	for _, n := range r.nodes {
+		st.NextProcess(n.spec.ID, nil)
+		simulate(n, st)
+	}
+	return st.Close()
+}
 
 // WriteSummary renders the per-node summary lines, the fleet rollup and
 // the assertion verdicts. The output is deterministic for a fixed

@@ -59,99 +59,126 @@ type RunStats struct {
 // (power events emitted by the supply simulator) are attributed to the
 // layer that was executing when they occurred.
 func Collect(events []Event) *RunStats {
-	s := &RunStats{Events: len(events)}
-	idx := map[int]int{}
-	cur := -1
-	layer := func(li int) *LayerStat {
-		if li < 0 {
-			li = cur
-		}
-		if li < 0 {
-			// Events before the first layer boundary: attribute to a
-			// catch-all pseudo-layer only if one is ever needed.
-			li = -1
-		}
-		if i, ok := idx[li]; ok {
-			return &s.Layers[i]
-		}
-		idx[li] = len(s.Layers)
-		s.Layers = append(s.Layers, LayerStat{Layer: li})
-		return &s.Layers[len(s.Layers)-1]
-	}
-	var cycleStart, cycleEnergy, lastT float64
-	inCycle := false
+	c := newCollector()
 	for i := range events {
-		ev := &events[i]
-		// Track the run's end time for a trace cut off mid power-cycle.
-		// Layer-end stamps its end time directly; span kinds stamp their
-		// start, so the span end is Time+Dur.
-		if t := ev.Time + ev.Dur; ev.Kind != KindLayerEnd && t > lastT {
-			lastT = t
-		} else if ev.Kind == KindLayerEnd && ev.Time > lastT {
-			lastT = ev.Time
-		}
-		if inCycle {
-			switch ev.Kind {
-			case KindOpCommit, KindPreserve, KindRecovery, KindFailure:
-				cycleEnergy += ev.Energy
-			}
-		}
+		c.add(&events[i])
+	}
+	return c.finish()
+}
+
+// collector is the one fold from an event stream to RunStats, fed one
+// event at a time: Collect runs it over a recorded slice, and a
+// HubDevice runs it on each event as it is emitted, so nothing but the
+// statistics is kept.
+type collector struct {
+	s   RunStats
+	idx map[int]int // layer index -> position in s.Layers
+	cur int         // layer of the last layer-start, -1 before any
+
+	cycleStart, cycleEnergy, lastT float64
+	inCycle                        bool
+}
+
+func newCollector() collector { return collector{idx: map[int]int{}, cur: -1} }
+
+// layer returns the statistics of layer li, attributing layerless
+// events (li < 0) to the executing layer, and events before the first
+// layer boundary to a catch-all pseudo-layer -1 created only if needed.
+func (c *collector) layer(li int) *LayerStat {
+	if li < 0 {
+		li = c.cur
+	}
+	if li < 0 {
+		li = -1
+	}
+	i, ok := c.idx[li]
+	if !ok {
+		i = len(c.s.Layers)
+		c.idx[li] = i
+		c.s.Layers = append(c.s.Layers, LayerStat{Layer: li})
+	}
+	return &c.s.Layers[i]
+}
+
+// add folds one event into the statistics.
+func (c *collector) add(ev *Event) {
+	c.s.Events++
+	// Track the run's end time for a trace cut off mid power-cycle.
+	// Layer-end stamps its end time directly; span kinds stamp their
+	// start, so the span end is Time+Dur.
+	if t := ev.Time + ev.Dur; ev.Kind != KindLayerEnd && t > c.lastT {
+		c.lastT = t
+	} else if ev.Kind == KindLayerEnd && ev.Time > c.lastT {
+		c.lastT = ev.Time
+	}
+	if c.inCycle {
 		switch ev.Kind {
-		case KindLayerStart:
-			cur = ev.Layer
-		case KindLayerEnd:
-			l := layer(ev.Layer)
-			l.Latency += ev.Dur
-			l.Energy += ev.Energy
-		case KindOpStart:
-			layer(ev.Layer).Starts++
-		case KindOpCommit:
-			l := layer(ev.Layer)
-			l.Ops++
-			l.Read += ev.Read
-			l.Write += ev.Write
-		case KindPreserve:
-			l := layer(ev.Layer)
-			l.Preserves++
-			l.Read += ev.Read
-			l.Write += ev.Write
-		case KindFailure:
-			layer(ev.Layer).Failures++
-		case KindRecovery:
-			layer(ev.Layer).Read += ev.Read
-		case KindReExec:
-			layer(ev.Layer).ReExec++
-		case KindPowerOn:
-			cycleStart = ev.Time
-			cycleEnergy = 0
-			inCycle = true
-		case KindPowerOff:
-			if inCycle {
-				s.Cycles = append(s.Cycles, CycleStat{
-					Start:  cycleStart,
-					OnTime: ev.Time - cycleStart,
-					Energy: cycleEnergy,
-				})
-				inCycle = false
-			}
-		case KindCharge:
-			if n := len(s.Cycles); n > 0 {
-				s.Cycles[n-1].OffTime += ev.Dur
-			}
+		case KindOpCommit, KindPreserve, KindRecovery, KindFailure:
+			c.cycleEnergy += ev.Energy
 		}
 	}
-	if inCycle {
+	switch ev.Kind {
+	case KindLayerStart:
+		c.cur = ev.Layer
+	case KindLayerEnd:
+		l := c.layer(ev.Layer)
+		l.Latency += ev.Dur
+		l.Energy += ev.Energy
+	case KindOpStart:
+		c.layer(ev.Layer).Starts++
+	case KindOpCommit:
+		l := c.layer(ev.Layer)
+		l.Ops++
+		l.Read += ev.Read
+		l.Write += ev.Write
+	case KindPreserve:
+		l := c.layer(ev.Layer)
+		l.Preserves++
+		l.Read += ev.Read
+		l.Write += ev.Write
+	case KindFailure:
+		c.layer(ev.Layer).Failures++
+	case KindRecovery:
+		c.layer(ev.Layer).Read += ev.Read
+	case KindReExec:
+		c.layer(ev.Layer).ReExec++
+	case KindPowerOn:
+		c.cycleStart = ev.Time
+		c.cycleEnergy = 0
+		c.inCycle = true
+	case KindPowerOff:
+		if c.inCycle {
+			c.s.Cycles = append(c.s.Cycles, CycleStat{
+				Start:  c.cycleStart,
+				OnTime: ev.Time - c.cycleStart,
+				Energy: c.cycleEnergy,
+			})
+			c.inCycle = false
+		}
+	case KindCharge:
+		if n := len(c.s.Cycles); n > 0 {
+			c.s.Cycles[n-1].OffTime += ev.Dur
+		}
+	}
+}
+
+// finish closes the fold: a power cycle still open is closed at the last
+// stamped event time, layers are sorted and the totals summed. The
+// returned statistics alias the collector, which takes no more events.
+func (c *collector) finish() *RunStats {
+	s := &c.s
+	if c.inCycle {
 		// The trace was cut off mid power-cycle (an aborted run, or a
 		// stream truncated by the caller): close the partial cycle at the
 		// last stamped event time so its work is still accounted for.
 		s.Cycles = append(s.Cycles, CycleStat{
-			Start:  cycleStart,
-			OnTime: lastT - cycleStart,
-			Energy: cycleEnergy,
+			Start:  c.cycleStart,
+			OnTime: c.lastT - c.cycleStart,
+			Energy: c.cycleEnergy,
 		})
 	}
 	sort.Slice(s.Layers, func(i, j int) bool { return s.Layers[i].Layer < s.Layers[j].Layer })
-	s.Total.Layer = -1
+	s.Total = LayerStat{Layer: -1}
 	for i := range s.Layers {
 		l := &s.Layers[i]
 		s.Total.Ops += l.Ops

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -27,8 +26,8 @@ func deviceRun(tr Tracer, n int) {
 
 // TestHubConcurrentDevices is the -race workout of the Hub's ownership
 // model: many devices emitting concurrently from their own goroutines,
-// merged into per-device stats, one fleet rollup and one multi-process
-// trace.
+// each folded into per-device stats that must equal Collect over the
+// same events emitted sequentially, plus one fleet rollup.
 func TestHubConcurrentDevices(t *testing.T) {
 	const devices, opsEach = 8, 50
 	h := NewHub(3)
@@ -47,24 +46,21 @@ func TestHubConcurrentDevices(t *testing.T) {
 	wg.Wait()
 	h.Close()
 
+	rec := NewRecorder()
+	deviceRun(rec, opsEach)
+	want := Collect(rec.Events())
 	for _, d := range devs {
 		s := d.Stats()
 		if s == nil {
 			t.Fatalf("%s: no stats after Close", d.Name)
 		}
-		if s.Total.Ops != opsEach {
-			t.Errorf("%s: %d ops, want %d", d.Name, s.Total.Ops, opsEach)
+		// Equality with the sequential fold pins emission order too: a
+		// reordered stream would move the power cycle's bounds.
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: stats %+v, want %+v", d.Name, s, want)
 		}
-		if len(s.Cycles) != 1 {
-			t.Errorf("%s: %d cycles, want 1", d.Name, len(s.Cycles))
-		}
-		// Per-device event order is emission order (one shard owns each
-		// device's buffer).
-		evs := d.Events()
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Time < evs[i-1].Time {
-				t.Fatalf("%s: event %d out of order", d.Name, i)
-			}
+		if s.Total.Ops != opsEach || len(s.Cycles) != 1 || s.Cycles[0].OnTime != 0.5*opsEach {
+			t.Errorf("%s: %d ops, cycles %+v", d.Name, s.Total.Ops, s.Cycles)
 		}
 	}
 
@@ -86,50 +82,13 @@ func TestHubConcurrentDevices(t *testing.T) {
 	if hist == nil || hist.N != devices {
 		t.Fatalf("rollup layer_latency_s has N=%v, want %d", hist, devices)
 	}
-
-	var buf strings.Builder
-	if err := h.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(buf.String()), &tr); err != nil {
-		t.Fatalf("fleet trace is not valid JSON: %v", err)
-	}
-	procs := map[string]int{}
-	for _, ev := range tr.TraceEvents {
-		if ev.Name == "process_name" {
-			if n, ok := ev.Args["name"].(string); ok {
-				procs[n] = ev.Pid
-			}
-		}
-	}
-	pids := map[int]bool{}
-	for _, d := range devs {
-		pid, ok := procs[d.Name]
-		if !ok {
-			t.Fatalf("fleet trace missing a section for %s (got %v)", d.Name, procs)
-		}
-		pids[pid] = true
-	}
-	if len(pids) != devices {
-		t.Errorf("device sections share pids: %v", procs)
-	}
 }
 
 func TestHubLifecycle(t *testing.T) {
-	h := NewHub(0) // clamped to one shard
+	h := NewHub(0) // the argument is unused
 	d := h.Device("only", nil)
 	if !d.Enabled() {
 		t.Error("device disabled before Close")
-	}
-	if err := h.WriteTrace(&strings.Builder{}); err == nil {
-		t.Error("WriteTrace before Close must error")
 	}
 	deviceRun(d, 1)
 	h.Close()
@@ -137,9 +96,9 @@ func TestHubLifecycle(t *testing.T) {
 	if d.Enabled() {
 		t.Error("device still enabled after Close")
 	}
-	n := len(d.Events())
-	d.Emit(Event{Kind: KindOpCommit}) // dropped, not deadlocked
-	if len(d.Events()) != n {
+	n := d.Stats().Events
+	d.Emit(Event{Kind: KindOpCommit}) // dropped, not folded
+	if d.Stats().Events != n || d.Stats().Total.Ops != 1 {
 		t.Error("emit after Close was not dropped")
 	}
 	defer func() {
@@ -151,8 +110,7 @@ func TestHubLifecycle(t *testing.T) {
 }
 
 // TestHubCloseDrainsBufferedEvents pins that Close is a drain, not a
-// discard: every event sent before Close — even ones still sitting in a
-// shard channel — is recorded.
+// discard: every event emitted before Close is in the frozen stats.
 func TestHubCloseDrainsBufferedEvents(t *testing.T) {
 	h := NewHub(2)
 	d := h.Device("drain", nil)
@@ -161,32 +119,52 @@ func TestHubCloseDrainsBufferedEvents(t *testing.T) {
 		d.Emit(Event{Kind: KindOpCommit, Time: float64(i)})
 	}
 	h.Close()
-	if got := len(d.Events()); got != n {
-		t.Fatalf("recorded %d events, want %d (Close dropped buffered sends)", got, n)
-	}
 	if d.Stats() == nil || d.Metrics() == nil {
 		t.Fatal("Stats/Metrics nil after Close")
+	}
+	if got := d.Stats().Events; got != n {
+		t.Fatalf("folded %d events, want %d (Close dropped emitted events)", got, n)
+	}
+	if got := d.Metrics().Counter("run/ops").Value(); got != n {
+		t.Fatalf("run/ops = %g, want %d", got, n)
 	}
 }
 
 // TestHubEmitAfterCloseDroppedAcrossShards pins the post-Close drop on a
-// multi-shard hub: no shard's channel may accept (or block on) a send
-// after shutdown, whichever shard the device is pinned to.
+// hub with many devices: an emit after shutdown must not write to any
+// device's frozen statistics, even while another goroutine reads them
+// (-race checks the no-write half).
 func TestHubEmitAfterCloseDroppedAcrossShards(t *testing.T) {
 	h := NewHub(4)
 	var devs []*HubDevice
-	for i := 0; i < 8; i++ { // two devices pinned to each shard
+	for i := 0; i < 8; i++ {
 		devs = append(devs, h.Device(string(rune('a'+i)), nil))
 	}
 	for _, d := range devs {
 		deviceRun(d, 2)
 	}
 	h.Close()
+	want := make([]int, len(devs))
+	for i, d := range devs {
+		want[i] = d.Stats().Events
+	}
+	var wg sync.WaitGroup
 	for _, d := range devs {
-		n := len(d.Events())
-		d.Emit(Event{Kind: KindFailure}) // must neither panic nor block
-		if len(d.Events()) != n {
-			t.Fatalf("%s: emit after Close was recorded", d.Name)
+		wg.Add(1)
+		go func(d *HubDevice) {
+			defer wg.Done()
+			d.Emit(Event{Kind: KindFailure}) // must neither panic nor write
+		}(d)
+	}
+	for i, d := range devs {
+		if d.Stats().Events != want[i] {
+			t.Errorf("%s: emit after Close was folded", d.Name)
+		}
+	}
+	wg.Wait()
+	for i, d := range devs {
+		if d.Stats().Events != want[i] || d.Stats().Total.Failures != 0 {
+			t.Fatalf("%s: emit after Close was folded", d.Name)
 		}
 	}
 }
@@ -207,9 +185,38 @@ func TestHubAccessorsNilBeforeClose(t *testing.T) {
 	}
 }
 
-// BenchmarkHubEmit measures the producer-side emit path: one guarded
-// channel send of a plain value — no lock, no allocation on the
-// producer's side.
+// TestHubEmitZeroAlloc pins the emit path at zero allocations once the
+// device's layer and power cycle exist: every kind that does not open a
+// new layer or close a power cycle folds in place.
+func TestHubEmitZeroAlloc(t *testing.T) {
+	h := NewHub(1)
+	d := h.Device("steady", nil)
+	d.Emit(Event{Kind: KindPowerOn, Layer: -1, Op: -1})
+	d.Emit(Event{Kind: KindLayerStart, Layer: 0})
+	evs := []Event{
+		{Kind: KindOpStart, Layer: 0, Op: 1},
+		{Kind: KindOpCommit, Dur: 0.5, Layer: 0, Op: 1, Energy: 1e-6, Read: 64},
+		{Kind: KindPreserve, Layer: 0, Op: 1, Write: 32},
+		{Kind: KindFailure, Layer: -1, Op: -1},
+		{Kind: KindRecovery, Dur: 1e-3, Layer: -1, Op: -1, Read: 16},
+		{Kind: KindReExec, Layer: 0, Op: 1},
+		{Kind: KindCharge, Dur: 0.1, Layer: -1, Op: -1},
+		{Kind: KindLayerEnd, Dur: 1, Layer: 0, Energy: 1e-5},
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, ev := range evs {
+			d.Emit(ev)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("HubDevice.Emit allocates %.1f times per batch in steady state, want 0", allocs)
+	}
+	h.Close()
+}
+
+// BenchmarkHubEmit measures the producer-side emit path: one closed-flag
+// load and one fold step on the emitting goroutine — no channel, no
+// lock, no allocation.
 func BenchmarkHubEmit(b *testing.B) {
 	h := NewHub(1)
 	d := h.Device("bench", nil)

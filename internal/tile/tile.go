@@ -189,6 +189,31 @@ func InstallMasks(net *nn.Network, specs []LayerSpec) {
 	}
 }
 
+// EnsureMasks installs a block mask matching the accelerator-op
+// weight-block geometry on every prunable layer that has none, so cost
+// counting and scheduling always have geometry. An existing mask is kept
+// when its geometry matches the layer's spec and rejected with an error
+// otherwise: a schedule cannot be built over it.
+func EnsureMasks(net *nn.Network, specs []LayerSpec) error {
+	prunables := net.Prunables()
+	if len(prunables) != len(specs) {
+		return fmt.Errorf("tile: %d specs for %d prunable layers", len(specs), len(prunables))
+	}
+	for i, p := range prunables {
+		s := &specs[i]
+		m := p.Mask()
+		if m == nil {
+			p.InitBlocks(s.TM, s.TK)
+			continue
+		}
+		if m.Rows != s.M || m.Cols != s.K || m.BM != s.TM || m.BK != s.TK {
+			return fmt.Errorf("tile: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
+				m.Rows, m.Cols, m.BM, m.BK, s.M, s.K, s.TM, s.TK, s.Name)
+		}
+	}
+	return nil
+}
+
 // Counts aggregates the execution-cost counters of a layer (or network).
 type Counts struct {
 	Ops        int64 // accelerator operations issued

@@ -107,6 +107,30 @@ func TestInstallMasksMatchesSpecs(t *testing.T) {
 	}
 }
 
+func TestEnsureMasks(t *testing.T) {
+	net := buildTestNet(t)
+	specs := SpecsFromNetwork(net, DefaultConfig())
+	if err := EnsureMasks(net, specs); err != nil {
+		t.Fatal(err)
+	}
+	first := net.Prunables()[0]
+	m := first.Mask()
+	if m == nil || m.BM != specs[0].TM || m.BK != specs[0].TK {
+		t.Fatalf("installed mask %+v does not match spec %+v", m, specs[0])
+	}
+	m.Keep[0] = false // a pruned mask with the right geometry is kept
+	if err := EnsureMasks(net, specs); err != nil || first.Mask() != m {
+		t.Fatalf("matching mask replaced or rejected: %v", err)
+	}
+	if err := EnsureMasks(net, specs[1:]); err == nil {
+		t.Error("spec count mismatch accepted")
+	}
+	first.InitBlocks(1, 1)
+	if err := EnsureMasks(net, specs); err == nil {
+		t.Error("mismatched mask geometry accepted")
+	}
+}
+
 func TestCountLayerUnprunedIdentities(t *testing.T) {
 	cfg := DefaultConfig()
 	spec := LayerSpec{Name: "c", Kind: nn.KindConv, M: 4, K: 18, N: 64, KHKW: 9}

@@ -204,7 +204,9 @@ func Simulate(net *Network, sup Supply, seed int64) (SimResult, error) {
 func SimulateObserved(net *Network, sup Supply, seed int64, tr Tracer) (SimResult, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return SimResult{}, err
+	}
 	cs := hawaii.NewCostSim(cfg)
 	cs.Trace = tr
 	return cs.RunNetwork(net, specs, tile.Intermittent, sup, seed)
@@ -226,7 +228,9 @@ type SweepPoint struct {
 // points share only the immutable network and results are positionally
 // deterministic: pts[i] always corresponds to sups[i], whatever the
 // worker count. The masks the schedule needs are installed once, before
-// the fan-out, keeping the shared network read-only inside it.
+// the fan-out, keeping the shared network read-only inside it; a mask
+// whose geometry does not match the network puts its error in every
+// point's Err.
 func PowerSweep(net *Network, sups []Supply, seed int64, workers int) []SweepPoint {
 	return PowerSweepContext(context.Background(), net, sups, seed, workers)
 }
@@ -243,7 +247,12 @@ func PowerSweepContext(ctx context.Context, net *Network, sups []Supply, seed in
 	}
 	// Install masks up front so concurrent points never mutate net.
 	cfg := tile.DefaultConfig()
-	ensureMasks(net, tile.SpecsFromNetwork(net, cfg))
+	if err := tile.EnsureMasks(net, tile.SpecsFromNetwork(net, cfg)); err != nil {
+		for i := range pts {
+			pts[i].Err = err
+		}
+		return pts
+	}
 	done := make([]bool, len(sups))
 	runPoint := func(i int) {
 		pts[i].Result, pts[i].Err = Simulate(net, sups[i], seed)
@@ -407,12 +416,16 @@ func WriteArtifact(path string, render func(io.Writer) error) error {
 
 // ObserveModel registers the analytic per-layer cost counters of the
 // network (ops, jobs — the pruning criterion —, MACs and NVM traffic)
-// in a metrics registry.
-func ObserveModel(m *Metrics, net *Network) {
+// in a metrics registry. It fails on a block mask whose geometry does
+// not match the network's accelerator blocks.
+func ObserveModel(m *Metrics, net *Network) error {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return err
+	}
 	tile.ObserveNetwork(m, net, specs, tile.Intermittent, cfg)
+	return nil
 }
 
 // ModelStats summarizes a deployable model.
@@ -428,7 +441,9 @@ type ModelStats struct {
 func Stats(net *Network) (ModelStats, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return ModelStats{}, err
+	}
 	m, err := quant.Deploy(net, specs)
 	if err != nil {
 		return ModelStats{}, err
@@ -449,7 +464,9 @@ func Stats(net *Network) (ModelStats, error) {
 func Engine(net *Network) (*hawaii.Engine, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return nil, err
+	}
 	return hawaii.NewEngine(net, specs, cfg)
 }
 
@@ -461,18 +478,6 @@ func SaveModel(path string, net *Network, seed int64) error {
 
 // LoadModel restores a model written by SaveModel.
 func LoadModel(path string) (*Network, error) { return models.Load(path) }
-
-// ensureMasks installs accelerator-block masks on networks that have not
-// been through the pruner yet, so cost counting always has geometry.
-func ensureMasks(net *Network, specs []tile.LayerSpec) {
-	for i, p := range net.Prunables() {
-		if m := p.Mask(); m == nil || m.BM != specs[i].TM || m.BK != specs[i].TK {
-			if m == nil {
-				p.InitBlocks(specs[i].TM, specs[i].TK)
-			}
-		}
-	}
-}
 
 // ShareWeights applies k-means weight sharing (2^bits shared values per
 // layer) in place — the compression extension from the paper's
@@ -497,7 +502,9 @@ func SolarTrace(peakWatts, duration float64, clouds int, seed int64) power.Trace
 func SimulateTrace(net *Network, tr power.Trace, seed int64) (SimResult, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return SimResult{}, err
+	}
 	sim, err := power.NewTraceSim(power.DefaultBuffer(), tr, seed)
 	if err != nil {
 		return SimResult{}, err
@@ -515,7 +522,7 @@ type Trace = power.Trace
 type FailEveryN = hawaii.EveryN
 
 // ---------------------------------------------------------------------------
-// Unified timeline: calibrated engine traces, telemetry hub, budget audit
+// Unified timeline: calibrated engine traces, budget audit
 
 // ObserveEngine runs one functional-engine inference of the network
 // with its trace calibrated against the shared energy cost model: the
@@ -575,19 +582,6 @@ func AuditTrace(events []TraceEvent, sup Supply) *BudgetAudit {
 // the count to an AuditReport's StaticFindings to fold the static
 // cross-check into its verdict.
 func CountRegionFindings(r io.Reader) (int, error) { return energy.CountRegionFindings(r) }
-
-// TelemetryHub re-exports the concurrency-safe fleet telemetry
-// collector: per-device tracer lanes sharded across owning goroutines,
-// merged into per-device stats, fleet rollup metrics and one
-// multi-process trace. See obs.Hub for the ownership model.
-type TelemetryHub = obs.Hub
-
-// TelemetryDevice is one device's tracer lane into a TelemetryHub.
-type TelemetryDevice = obs.HubDevice
-
-// NewTelemetryHub starts a hub with the given shard count (clamped to
-// >= 1); Close it after all producers finish.
-func NewTelemetryHub(shards int) *TelemetryHub { return obs.NewHub(shards) }
 
 // ReadHistogramsCSV parses a WriteHistogramsCSV export back into a
 // metrics registry.

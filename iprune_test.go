@@ -51,6 +51,39 @@ func TestFacadeSimulateOrdering(t *testing.T) {
 	}
 }
 
+// TestWrongMaskGeometryReturnsError pins that a block mask whose geometry
+// does not match the accelerator blocks is reported by every facade entry
+// point as an error instead of panicking inside the schedule builder.
+func TestWrongMaskGeometryReturnsError(t *testing.T) {
+	net, err := iprune.BuildModel("HAR", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range net.Prunables() {
+		p.InitBlocks(1, 1)
+	}
+	if _, err := iprune.Simulate(net, iprune.WeakPower, 1); err == nil {
+		t.Error("Simulate accepted a mismatched mask")
+	}
+	if _, err := iprune.SimulateTrace(net, iprune.SolarTrace(10e-3, 60, 1, 1), 1); err == nil {
+		t.Error("SimulateTrace accepted a mismatched mask")
+	}
+	for i, pt := range iprune.PowerSweep(net, []iprune.Supply{iprune.StrongPower, iprune.WeakPower}, 1, 2) {
+		if pt.Err == nil {
+			t.Errorf("PowerSweep point %d: Err = nil for a mismatched mask", i)
+		}
+	}
+	if err := iprune.ObserveModel(iprune.NewMetrics(), net); err == nil {
+		t.Error("ObserveModel accepted a mismatched mask")
+	}
+	if _, err := iprune.Stats(net); err == nil {
+		t.Error("Stats accepted a mismatched mask")
+	}
+	if _, err := iprune.Engine(net); err == nil {
+		t.Error("Engine accepted a mismatched mask")
+	}
+}
+
 // TestPowerSweepCancelledPropagatesError pins the sweep error path: a
 // cancelled fan-out must surface the pool's error on every point it
 // never ran instead of returning points that look clean.

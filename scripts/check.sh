@@ -80,12 +80,15 @@ go run scripts/jsoncheck.go "$tmp/fig2/trace.json"
 
 # Fleet scenario smoke: the shipped scenario must validate, pass its
 # assertions (ifleet run exits non-zero on a violation), and produce
-# byte-identical output at any fan-out width.
+# byte-identical output and traces at any fan-out width; the trace must
+# be parseable JSON.
 echo "== fleet smoke"
 go run ./cmd/ifleet validate examples/fleet/smoke.json
-go run ./cmd/ifleet run -workers 1 examples/fleet/smoke.json > "$tmp/fleet1.out"
-go run ./cmd/ifleet run -workers 4 examples/fleet/smoke.json > "$tmp/fleet4.out"
+go run ./cmd/ifleet run -workers 1 -trace "$tmp/fleet1.json" examples/fleet/smoke.json > "$tmp/fleet1.out"
+go run ./cmd/ifleet run -workers 4 -trace "$tmp/fleet4.json" examples/fleet/smoke.json > "$tmp/fleet4.out"
 cmp "$tmp/fleet1.out" "$tmp/fleet4.out"
+cmp "$tmp/fleet1.json" "$tmp/fleet4.json"
+go run scripts/jsoncheck.go "$tmp/fleet1.json"
 cat "$tmp/fleet1.out"
 
 # Benchmark regression gate: when at least two BENCH_<date>.json
