@@ -23,6 +23,7 @@ import (
 	"iprune/internal/models"
 	"iprune/internal/nn"
 	"iprune/internal/power"
+	"iprune/internal/quant"
 	"iprune/internal/report"
 	"iprune/internal/sparse"
 	"iprune/internal/tensor"
@@ -332,6 +333,55 @@ func BenchmarkGemm64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Gemm(a, bb, c, m, k, n, false)
+	}
+}
+
+// cksConv2Backprop returns operands shaped like the backward pass of
+// CKS's conv2 (OutC 32, K = 48·3·4 = 576, N = 43 output positions):
+// W (32×576), the layer's im2col patches (576×43) and dY (32×43).
+func cksConv2Backprop() (w, col, dy []float32) {
+	const outC, k, n = 32, 576, 43
+	rng := rand.New(rand.NewSource(1))
+	fill := func(s []float32) []float32 {
+		for i := range s {
+			s[i] = rng.Float32()*2 - 1
+		}
+		return s
+	}
+	return fill(make([]float32, outC*k)), fill(make([]float32, k*n)), fill(make([]float32, outC*n))
+}
+
+// BenchmarkGemmTA is CKS conv2's input gradient, dcol = Wᵀ·dY.
+func BenchmarkGemmTA(b *testing.B) {
+	w, _, dy := cksConv2Backprop()
+	dcol := make([]float32, 576*43)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.GemmTA(w, dy, dcol, 576, 32, 43, false)
+	}
+}
+
+// BenchmarkGemmTB is CKS conv2's weight gradient, dW += dY·colᵀ.
+func BenchmarkGemmTB(b *testing.B) {
+	_, col, dy := cksConv2Backprop()
+	dw := make([]float32, 32*576)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.GemmTB(dy, col, dw, 32, 43, 576, true)
+	}
+}
+
+// BenchmarkAccuracyQ15CKS is the evaluation in the fleet's
+// deployed-accuracy probe of a CKS node: the Q15-rounded network over 64
+// held-out samples. The model and the samples are built before the timer.
+func BenchmarkAccuracyQ15CKS(b *testing.B) {
+	cfg := dataset.SpeechConfig()
+	cfg.Train, cfg.Test = 1, 64
+	ds := dataset.Speech(cfg, 1)
+	net := quant.QuantizeWeights(models.CKS(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quant.AccuracyQ15(net, ds.Test)
 	}
 }
 

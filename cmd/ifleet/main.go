@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runScenario(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ifleet run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 1, "fan-out width across nodes (<=0: GOMAXPROCS)")
+	workers := fs.Int("workers", 1, "fan-out width across accuracy probes and node simulations (<=0: GOMAXPROCS)")
 	tracePath := fs.String("trace", "", "write the merged Chrome trace (one section per node)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")

@@ -148,38 +148,71 @@ type Tensor struct {
 }
 
 // QuantizeSlice converts a float32 slice into a Q15 tensor, choosing the
-// smallest power-of-two shift that brings every value into [-1, 1).
-//
-//iprune:allow-float quantization boundary: deploy-time conversion of trained weights
+// smallest power-of-two shift that brings every finite value into
+// [-1, 1). Infinities saturate to One and MinVal under that shift, and
+// NaN converts to zero, as in FromFloat.
 func QuantizeSlice(src []float32) Tensor {
-	maxAbs := 0.0
-	for _, v := range src {
-		a := math.Abs(float64(v))
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	shift := 0
-	for maxAbs >= 1.0 {
-		maxAbs /= 2
-		shift++
-	}
-	scale := math.Pow(2, -float64(shift))
+	shift := shiftOf(src)
+	scale := math.Ldexp(1, -shift)
 	out := Tensor{Data: make([]Q15, len(src)), Shift: shift}
 	for i, v := range src {
-		out.Data[i] = FromFloat(float64(v) * scale)
+		out.Data[i] = quantizeScaled(v, scale)
 	}
 	return out
 }
 
-// Dequantize returns the float32 values represented by the tensor.
+// FakeQuantize rounds every value of data in place to the float32 that
+// QuantizeSlice(data).Dequantize() holds at its index: the nearest
+// Q1.15 value under the slice's shift, saturated, scaled back. It
+// allocates nothing.
+func FakeQuantize(data []float32) {
+	shift := shiftOf(data)
+	down, up := math.Ldexp(1, -shift), math.Ldexp(1, shift)
+	for i, v := range data {
+		data[i] = quantizeScaled(v, down).scaled(up)
+	}
+}
+
+// shiftOf is the shift rule of QuantizeSlice and FakeQuantize: the
+// smallest shift with |v| < 2^shift for every finite v in src. A finite
+// float32 with biased exponent e >= 127 lies in [2^(e-127), 2^(e-126)),
+// so the shift is e-126 for the largest such exponent, else 0. The
+// exponent 0xFF (infinities and NaN) is left out, so the shift stays
+// finite and ±Inf saturate under it.
+func shiftOf(src []float32) int {
+	var maxExp uint32
+	for _, v := range src {
+		if e := math.Float32bits(v) >> 23 & 0xFF; e != 0xFF && e > maxExp {
+			maxExp = e
+		}
+	}
+	if maxExp < 127 {
+		return 0
+	}
+	return int(maxExp) - 126
+}
+
+// quantizeScaled converts v·scale to Q1.15, scale being a tensor's
+// 2^-shift.
+//
+//iprune:allow-float quantization boundary: converts trainer floats into Q1.15 under a tensor's shift
+func quantizeScaled(v float32, scale float64) Q15 {
+	return FromFloat(float64(v) * scale)
+}
+
+// scaled returns q·scale as float32, scale being a tensor's 2^shift.
 //
 //iprune:allow-float dequantization boundary for fake-quant evaluation
+func (q Q15) scaled(scale float64) float32 {
+	return float32(q.Float() * scale)
+}
+
+// Dequantize returns the float32 values represented by the tensor.
 func (t Tensor) Dequantize() []float32 {
 	out := make([]float32, len(t.Data))
-	scale := math.Pow(2, float64(t.Shift))
+	scale := math.Ldexp(1, t.Shift)
 	for i, q := range t.Data {
-		out[i] = float32(q.Float() * scale)
+		out[i] = q.scaled(scale)
 	}
 	return out
 }

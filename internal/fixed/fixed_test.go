@@ -2,8 +2,11 @@ package fixed
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestFromFloatRoundTrip(t *testing.T) {
@@ -167,5 +170,95 @@ func TestNarrowAccShift(t *testing.T) {
 	got := NarrowAcc(acc, 1).Result().Float()
 	if math.Abs(got-0.125) > 1e-4 {
 		t.Errorf("narrow with shift = %v, want 0.125", got)
+	}
+}
+
+// TestQuantizeSliceNonFinite pins that infinities saturate and NaN
+// converts to zero instead of the shift search chasing +Inf forever.
+// The call runs under a deadline so a hang fails fast.
+func TestQuantizeSliceNonFinite(t *testing.T) {
+	inf := float32(math.Inf(1))
+	src := []float32{0.5, inf, -inf, float32(math.NaN()), -3}
+	done := make(chan Tensor, 1)
+	go func() { done <- QuantizeSlice(src) }()
+	var qt Tensor
+	select {
+	case qt = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("QuantizeSlice with an infinity did not return within 2 s")
+	}
+	if qt.Shift != 2 {
+		t.Errorf("shift = %d, want 2 from the finite -3", qt.Shift)
+	}
+	want := []Q15{FromFloat(0.125), One, MinVal, 0, FromFloat(-0.75)}
+	if !reflect.DeepEqual(qt.Data, want) {
+		t.Errorf("data = %v, want %v", qt.Data, want)
+	}
+}
+
+// TestShiftRule pins the exponent-bit shift rule to its definition: the
+// number of halvings that bring the largest finite |v| below 1.
+func TestShiftRule(t *testing.T) {
+	halvings := func(v float32) int {
+		a, n := math.Abs(float64(v)), 0
+		for a >= 1 {
+			a /= 2
+			n++
+		}
+		return n
+	}
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 2, 0.5, 3.999, 4,
+		math.Nextafter32(1, 0), math.Nextafter32(1, 2), math.MaxFloat32, -math.MaxFloat32,
+		math.SmallestNonzeroFloat32, 1e-38, 65535, 65536}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		v := math.Float32frombits(rng.Uint32())
+		if !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) {
+			vals = append(vals, v)
+		}
+	}
+	for _, v := range vals {
+		if got, want := shiftOf([]float32{v}), halvings(v); got != want {
+			t.Errorf("shift of %g = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestFakeQuantizeMatchesQuantizeSlice pins the in-place fake-quant to
+// QuantizeSlice followed by Dequantize, bit for bit, and checks that it
+// allocates nothing.
+func TestFakeQuantizeMatchesQuantizeSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.5}
+	for trial := 0; trial < 300; trial++ {
+		src := make([]float32, rng.Intn(40))
+		mag := math.Ldexp(1, rng.Intn(80)-40)
+		for i := range src {
+			switch rng.Intn(6) {
+			case 0:
+				src[i] = special[rng.Intn(len(special))]
+			case 1:
+				src[i] = math.Float32frombits(rng.Uint32())
+			default:
+				src[i] = float32((rng.Float64()*2 - 1) * mag)
+			}
+		}
+		want := QuantizeSlice(src).Dequantize()
+		got := append([]float32(nil), src...)
+		FakeQuantize(got)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("trial %d: FakeQuantize(%g) = %g (%#08x), QuantizeSlice+Dequantize %g (%#08x)",
+					trial, src[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+	buf := make([]float32, 256)
+	for i := range buf {
+		buf[i] = float32(i) - 100
+	}
+	if n := testing.AllocsPerRun(10, func() { FakeQuantize(buf) }); n != 0 {
+		t.Errorf("FakeQuantize allocates %v times per call, want 0", n)
 	}
 }

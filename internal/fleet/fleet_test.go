@@ -361,6 +361,86 @@ func traceEvents(t *testing.T, raw []byte) int {
 	return n
 }
 
+// fanoutScenario generates a fleet whose probes do not map one to one
+// onto nodes: a switch-model event that fires after the first inference,
+// one timed after its node has finished, a switch away and back to the
+// initial model at one boundary, and two nodes that share an explicit
+// seed and model. The seed draws the shared seed and the switch time.
+func fanoutScenario(seed int64) *Scenario {
+	rng := rand.New(rand.NewSource(seed))
+	shared := 100 + rng.Int63n(1000)
+	early := 0.001 + float64(rng.Intn(9))/1000 // before the first inference ends
+	sc := &Scenario{
+		Name: fmt.Sprintf("fanout-%d", seed), Seed: seed,
+		Nodes: []NodeSpec{
+			{ID: "fires", Model: "HAR", Supply: "8mW", Inferences: 2},
+			{ID: "late", Model: "CKS", Supply: "strong", Inferences: 2},
+			{ID: "back", Model: "HAR", Supply: "weak", Inferences: 2, Seed: &shared},
+			{ID: "twin1", Model: "HAR", Supply: "strong", Seed: &shared},
+			{ID: "twin2", Model: "HAR", Supply: "8mW", Seed: &shared},
+		},
+		Events: []EventSpec{
+			{AtS: early, Node: "fires", Action: "switch-model", Model: "CKS"},
+			{AtS: 1e6, Node: "late", Action: "switch-model", Model: "HAR"},
+			{AtS: early, Node: "back", Action: "switch-model", Model: "CKS"},
+			{AtS: early + 0.001, Node: "back", Action: "switch-model", Model: "HAR"},
+		},
+	}
+	return sc
+}
+
+// TestRunFanOut pins the task fan-out: probes drawn up front only for
+// the final models known before simulating, each node's accuracy joined
+// from the probe of its final model, and the same summary at any width.
+func TestRunFanOut(t *testing.T) {
+	sc := fanoutScenario(5)
+	nodes, err := compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the twins have no switch, and they share one probe; back ends
+	// on the same (model, seed) and reuses it, fires and late probe their
+	// own final models.
+	keys, _ := probeKeys(nodes)
+	if want := []probeKey{{"HAR", *sc.Nodes[3].Seed}}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("drawn probes %v, want %v", keys, want)
+	}
+	var want []byte
+	for _, workers := range []int{1, 2, 3, 8} {
+		rep, err := Run(sc, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := rep.WriteSummary(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = b.Bytes()
+			wantModel := map[string]string{"fires": "CKS", "late": "CKS", "back": "HAR", "twin1": "HAR", "twin2": "HAR"}
+			wantSwitches := map[string]int{"fires": 1, "back": 2}
+			for i, n := range rep.Nodes {
+				if n.Err != nil {
+					t.Fatalf("%s: %v", n.ID, n.Err)
+				}
+				if n.Model != wantModel[n.ID] || n.Switches != wantSwitches[n.ID] {
+					t.Errorf("%s: final model %s after %d switches, want %s after %d",
+						n.ID, n.Model, n.Switches, wantModel[n.ID], wantSwitches[n.ID])
+				}
+				acc, err := deployedAccuracy(n.Model, rep.nodes[i].seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.Accuracy != acc {
+					t.Errorf("%s: accuracy %v, direct probe of %s gives %v", n.ID, n.Accuracy, n.Model, acc)
+				}
+			}
+		} else if !bytes.Equal(b.Bytes(), want) {
+			t.Errorf("summary at Workers %d differs from Workers 1:\n%s--- want:\n%s", workers, b.Bytes(), want)
+		}
+	}
+}
+
 func TestFailingAssertionFlipsFailed(t *testing.T) {
 	sc := &Scenario{
 		Name: "strict", Seed: 1,

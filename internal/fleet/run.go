@@ -20,9 +20,9 @@ import (
 
 // Options configures a scenario run.
 type Options struct {
-	// Workers is the fan-out width across nodes (the calling goroutine
-	// participates); <= 0 uses GOMAXPROCS. Results are identical for any
-	// width: nodes share nothing but the scenario.
+	// Workers is the fan-out width across a run's tasks (the calling
+	// goroutine participates); <= 0 uses GOMAXPROCS. Results are
+	// identical for any width: tasks share nothing but the scenario.
 	Workers int
 }
 
@@ -63,11 +63,16 @@ type Report struct {
 	hub   *obs.Hub
 }
 
-// Run executes the scenario: every node simulates independently (fanned
-// out Workers-wide), telemetry flows through one obs.Hub, and the
-// scenario's assertions are evaluated over the joined results. The
-// returned error covers scenario-level problems only; per-node failures
-// land in NodeResult.Err and flip Failed().
+// Run executes the scenario: every node simulates independently,
+// telemetry flows through one obs.Hub, and the scenario's assertions are
+// evaluated over the joined results. The work fans out Workers-wide as
+// tasks: first one deployed-accuracy probe per distinct (model, seed) of
+// the nodes without switch-model events, whose final model is known
+// before simulating, then one simulation per node; a node whose final
+// model no drawn probe covers probes it at the end of its own task. Each
+// node's accuracy is joined afterwards from the probe of its final
+// model. The returned error covers scenario-level problems only;
+// per-node failures land in NodeResult.Err and flip Failed().
 func Run(sc *Scenario, opts Options) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -87,15 +92,36 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 	for i, n := range nodes {
 		devs[i] = hub.Device(n.spec.ID, nil)
 	}
+	keys, drawn := probeKeys(nodes)
+	probes := make([]probe, len(keys))
+	own := make([]probe, len(nodes)) // probes no drawn key covers
 	results := make([]NodeResult, len(nodes))
-	runOne := func(i int) { results[i] = runNode(nodes[i], devs[i]) }
-	if workers <= 1 || len(nodes) <= 1 {
-		for i := range nodes {
-			runOne(i)
+	ran := make([]bool, len(nodes))
+	// Probes take most of a run, so those whose model is known up front
+	// are drawn first: the longest tasks start at once and the node
+	// simulations fill the workers they leave idle. A switching node
+	// learns its final model only by simulating and probes it in its
+	// own task, so no probe is computed for a model a node only might
+	// have deployed.
+	task := func(t int) {
+		if t < len(keys) {
+			probes[t].acc, probes[t].err = deployedAccuracy(keys[t].model, keys[t].seed)
+			return
+		}
+		i := t - len(keys)
+		results[i], ran[i] = simulate(nodes[i], devs[i])
+		if _, ok := drawn[probeKey{results[i].Model, nodes[i].seed}]; ran[i] && !ok {
+			own[i].acc, own[i].err = deployedAccuracy(results[i].Model, nodes[i].seed)
+		}
+	}
+	tasks := len(keys) + len(nodes)
+	if workers <= 1 {
+		for t := 0; t < tasks; t++ {
+			task(t)
 		}
 	} else {
 		p := pool.New(workers - 1) // the calling goroutine participates
-		if err := p.ForEach(context.Background(), len(nodes), runOne); err != nil {
+		if err := p.ForEach(context.Background(), tasks, task); err != nil {
 			p.Close()
 			if pe, ok := err.(*pool.PanicError); ok {
 				panic(pe.Value)
@@ -105,6 +131,21 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 		p.Close()
 	}
 	hub.Close()
+	for i := range results {
+		if !ran[i] {
+			continue // no final model to probe
+		}
+		r := &results[i]
+		pr := own[i]
+		if k, ok := drawn[probeKey{r.Model, nodes[i].seed}]; ok {
+			pr = probes[k]
+		}
+		if pr.err == nil {
+			r.Accuracy = pr.acc
+		} else if r.Err == nil {
+			r.Err = pr.err
+		}
+	}
 	return &Report{
 		Scenario: sc,
 		Nodes:    results,
@@ -112,6 +153,35 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 		nodes:    nodes,
 		hub:      hub,
 	}, nil
+}
+
+// probeKey identifies a deployed-accuracy probe: the model and the seed
+// that builds its weights and held-out split.
+type probeKey struct {
+	model string
+	seed  int64
+}
+
+// probe is the outcome of one deployedAccuracy call.
+type probe struct {
+	acc float64
+	err error
+}
+
+// probeKeys lists, in node order, the distinct (model, seed) of the
+// nodes without switch-model events: a run ends on those models, so
+// their probes can be drawn before any simulation. index maps each key
+// to its position.
+func probeKeys(nodes []*node) (keys []probeKey, index map[probeKey]int) {
+	index = make(map[probeKey]int)
+	for _, n := range nodes {
+		k := probeKey{n.spec.Model, n.seed}
+		if _, ok := index[k]; len(n.switches) == 0 && !ok {
+			index[k] = len(keys)
+			keys = append(keys, k)
+		}
+	}
+	return keys, index
 }
 
 // offsetTracer shifts cost-simulator events — stamped on the per-run
@@ -169,21 +239,6 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 	cfg.Train, cfg.Test = 1, accSamples
 	ds := build(cfg, seed)
 	return quant.AccuracyQ15(quant.QuantizeWeights(net), ds.Test), nil
-}
-
-// runNode simulates one node end to end, its events flowing into tr,
-// then probes the deployed accuracy of its final model.
-func runNode(n *node, tr obs.Tracer) NodeResult {
-	r, ran := simulate(n, tr)
-	if !ran {
-		return r
-	}
-	if acc, err := deployedAccuracy(r.Model, n.seed); err == nil {
-		r.Accuracy = acc
-	} else if r.Err == nil {
-		r.Err = err
-	}
-	return r
 }
 
 // simulate runs one node's power and cost simulation: one power

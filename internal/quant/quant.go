@@ -76,26 +76,19 @@ func (m *Model) SizeBytes() int {
 	return total
 }
 
-// roundQ15 fake-quantizes a slice in place: each value is rounded to the
-// nearest representable Q15 value under the slice's per-tensor shift.
-func roundQ15(data []float32) {
-	qt := fixed.QuantizeSlice(data)
-	copy(data, qt.Dequantize())
-}
-
 // QuantizeWeights returns a clone of the network whose prunable-layer
 // weights and biases have been rounded through Q15 (per-tensor shift).
 func QuantizeWeights(net *nn.Network) *nn.Network {
 	c := net.Clone()
 	for _, p := range c.Prunables() {
 		w, _, _ := p.WeightMatrix()
-		roundQ15(w)
+		fixed.FakeQuantize(w)
 		p.ApplyMask()
 		switch v := p.(type) {
 		case *nn.Conv2D:
-			roundQ15(v.B.Data)
+			fixed.FakeQuantize(v.B.Data)
 		case *nn.FC:
-			roundQ15(v.B.Data)
+			fixed.FakeQuantize(v.B.Data)
 		}
 	}
 	return c
@@ -106,10 +99,10 @@ func QuantizeWeights(net *nn.Network) *nn.Network {
 // rounded too. Returns the logits.
 func ForwardQ15(net *nn.Network, in *tensor.Tensor) *tensor.Tensor {
 	x := in.Clone()
-	roundQ15(x.Data)
+	fixed.FakeQuantize(x.Data)
 	for _, l := range net.Layers {
 		x = l.Forward(x)
-		roundQ15(x.Data)
+		fixed.FakeQuantize(x.Data)
 	}
 	return x
 }

@@ -84,9 +84,17 @@ func (t *Tensor) flat(idx []int) int {
 }
 
 // Gemm computes C = A·B (+C if accumulate) for row-major matrices:
-// A is m×k, B is k×n, C is m×n. The k-inner/j-unrolled loop order keeps B
-// accesses sequential, which matters on the single-core interpreter-free
-// hot path this repo trains on.
+// A is m×k, B is k×n, C is m×n.
+//
+// The loop is blocked in registers: for each C row it gathers the next
+// four nonzero entries of the A row and applies them in one pass over
+// the row, each C element held in a register across its four additions,
+// so C is loaded and stored once per four products instead of once per
+// product. With n == 1 each row is a scalar dot product. The result is
+// bit-identical to the plain i-p-j loop: every C element still takes its
+// products one at a time, in ascending p, each addition rounded to
+// float32, and a product whose A entry is zero is still skipped (adding
+// it could turn a -0 sum into +0, or make a NaN from 0·Inf).
 //
 //iprune:hotpath
 //iprune:allow-budget training-time float kernel; runs on the workstation and never inside a harvested power cycle
@@ -95,66 +103,125 @@ func Gemm(a, b, c []float32, m, k, n int, accumulate bool) {
 		panic("tensor: gemm buffer too small")
 	}
 	if !accumulate {
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
+		clear(c[:m*n])
 	}
 	for i := 0; i < m; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : p*n+n]
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
+		gemmRow(a[i*k:], 1, k, b, c[i*n:i*n+n])
 	}
 }
 
-// GemmTA computes C = Aᵀ·B where A is k×m (so Aᵀ is m×k), B is k×n,
-// C is m×n. Used by backprop for weight gradients.
+// GemmTA computes C = Aᵀ·B (+C if accumulate) where A is k×m (so Aᵀ is
+// m×k), B is k×n, C is m×n. Used by backprop for input gradients
+// (Wᵀ·dY). Row i of C gathers column i of A; the order of additions, and
+// so every bit of the result, is Gemm's on the transposed A.
 func GemmTA(a, b, c []float32, m, k, n int, accumulate bool) {
-	if !accumulate {
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
+	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
+		panic("tensor: gemmTA buffer too small")
 	}
-	for p := 0; p < k; p++ {
-		arow := a[p*m : p*m+m]
-		brow := b[p*n : p*n+n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			crow := c[i*n : i*n+n]
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
+	if !accumulate {
+		clear(c[:m*n])
+	}
+	for i := 0; i < m; i++ {
+		gemmRow(a[i:], m, k, b, c[i*n:i*n+n])
 	}
 }
 
-// GemmTB computes C = A·Bᵀ where A is m×k, B is n×k, C is m×n. Used by
-// backprop for input gradients.
-func GemmTB(a, b, c []float32, m, k, n int, accumulate bool) {
-	if !accumulate {
-		for i := range c[:m*n] {
-			c[i] = 0
+// gemmRow adds a[p*stride]·B[p,:] to crow for p ascending from 0 to
+// k-1, skipping zero A entries, where B is k×len(crow): one C row of
+// Gemm (stride 1) or GemmTA (stride m), blocked as Gemm describes.
+func gemmRow(a []float32, stride, k int, b, crow []float32) {
+	n := len(crow)
+	if n == 1 {
+		s := crow[0]
+		for p := 0; p < k; p++ {
+			if av := a[p*stride]; av != 0 {
+				s += av * b[p]
+			}
 		}
+		crow[0] = s
+		return
+	}
+	var av [4]float32
+	var off [4]int
+	q := 0
+	for p := 0; p < k; p++ {
+		v := a[p*stride]
+		if v == 0 {
+			continue
+		}
+		av[q], off[q] = v, p*n
+		q++
+		if q == len(av) {
+			axpy4(av[0], av[1], av[2], av[3],
+				b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n], crow)
+			q = 0
+		}
+	}
+	for t := 0; t < q; t++ {
+		axpy1(av[t], b[off[t]:off[t]+n], crow)
+	}
+}
+
+// axpy4 computes c[j] = (((c[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j],
+// rounding to float32 after every operation.
+func axpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, c []float32) {
+	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
+	for j, s := range c {
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		c[j] = s
+	}
+}
+
+// axpy1 computes c[j] += a·b[j].
+func axpy1(a float32, b, c []float32) {
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += a * b[j]
+	}
+}
+
+// GemmTB computes C = A·Bᵀ (+C if accumulate) where A is m×k, B is n×k,
+// C is m×n. Used by backprop for weight gradients (dY·colᵀ). Each C
+// element adds one dot product, summed from zero in ascending p with no
+// zero skip. Four outputs share each pass over the A row, with four
+// independent accumulators, so every sum, and the result, is that of
+// one dot product at a time.
+func GemmTB(a, b, c []float32, m, k, n int, accumulate bool) {
+	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
+		panic("tensor: gemmTB buffer too small")
+	}
+	if !accumulate {
+		clear(c[:m*n])
 	}
 	for i := 0; i < m; i++ {
 		arow := a[i*k : i*k+k]
 		crow := c[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : j*k+k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : j*k+k][:len(arow)]
+			b1 := b[(j+1)*k : (j+1)*k+k][:len(arow)]
+			b2 := b[(j+2)*k : (j+2)*k+k][:len(arow)]
+			b3 := b[(j+3)*k : (j+3)*k+k][:len(arow)]
+			var s0, s1, s2, s3 float32
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			crow[j] += s0
+			crow[j+1] += s1
+			crow[j+2] += s2
+			crow[j+3] += s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : j*k+k][:len(arow)]
 			var s float32
-			for p := range arow {
-				s += arow[p] * brow[p]
+			for p, av := range arow {
+				s += av * brow[p]
 			}
 			crow[j] += s
 		}

@@ -23,6 +23,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# Fuzz smoke: a bounded run of the GEMM kernels against their bit-exact
+# reference. Plain go test above already ran the seed corpus; a failing
+# input lands in internal/tensor/testdata/fuzz as a regression fixture.
+echo "== fuzz smoke"
+go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
+
 # Artifact directory shared by the SARIF and repro-smoke steps. CI sets
 # CHECK_ARTIFACT_DIR to a directory it uploads; local runs use a
 # throwaway temp dir.
