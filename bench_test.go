@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"iprune"
+	"iprune/internal/analysis"
 	"iprune/internal/core"
 	"iprune/internal/dataset"
 	"iprune/internal/fixed"
@@ -550,6 +551,33 @@ func BenchmarkDisciplineComparison(b *testing.B) {
 			if i == 0 {
 				b.ReportMetric(task.Latency/job.Latency, sup.Name+"_task_vs_job_x")
 			}
+		}
+	}
+}
+
+// BenchmarkLintRepo is the `iprunelint ./...` rung: a cold loader
+// parses and type-checks this checkout and the standard-library
+// packages it imports, then every analyzer runs over it, as a run
+// without -cache does.
+func BenchmarkLintRepo(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		l, err := analysis.NewLoader(".", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkgs, err := l.Load("./...")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pkgs {
+			if len(p.Errs) > 0 {
+				b.Fatalf("%s: %v", p.Path, p.Errs[0])
+			}
+		}
+		diags := analysis.Run(analysis.All(), pkgs, l.Directives())
+		if i == 0 {
+			b.ReportMetric(float64(len(pkgs)), "pkgs")
+			b.ReportMetric(float64(len(diags)), "findings")
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"strings"
@@ -300,5 +302,45 @@ func TestSyntaxErrorGraceful(t *testing.T) {
 	}
 	if p := byPath["m/good"]; p == nil || len(p.Errs) != 0 {
 		t.Fatal("clean sibling package affected by m/bad's syntax error")
+	}
+}
+
+func TestFileSelectionMatchesGoTool(t *testing.T) {
+	// A file needing a newer Go release than this toolchain's and a
+	// //go:build ignore generator are outside the build: the go tool
+	// neither compiles nor parses them, so neither may the loader.
+	tags := build.Default.ReleaseTags
+	var minor int
+	if _, err := fmt.Sscanf(tags[len(tags)-1], "go1.%d", &minor); err != nil {
+		t.Fatalf("release tags %v: %v", tags, err)
+	}
+	future := fmt.Sprintf("go1.%d", minor+1)
+	dir := writeModule(t, "m", map[string]string{
+		"a.go":      "package m\n\nfunc A() int { return 1 }\n",
+		"future.go": "//go:build " + future + "\n\npackage m\n\nfunc A() int { return 2 }\n",
+		"gen.go":    "//go:build ignore\n\npackage main\n\nfunc B( {\n",
+	})
+	_, pkgs := loadModule(t, dir)
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	if len(pkgs[0].Errs) > 0 {
+		t.Fatalf("files outside the build leaked into it: %v", pkgs[0].Errs)
+	}
+	if len(pkgs[0].Files) != 1 {
+		t.Fatalf("parsed %d files, want 1 (%s and ignore excluded)", len(pkgs[0].Files), future)
+	}
+}
+
+func TestMalformedConstraintRecorded(t *testing.T) {
+	// A //go:build line go/build cannot parse fails the go tool's build;
+	// the loader records it instead of dropping or including the file.
+	dir := writeModule(t, "m", map[string]string{
+		"a.go": "package m\n\nconst A = 1\n",
+		"b.go": "//go:build linux &&\n\npackage m\n\nconst B = 2\n",
+	})
+	_, pkgs := loadModule(t, dir)
+	if len(pkgs) != 1 || len(pkgs[0].Errs) == 0 {
+		t.Fatal("malformed build constraint not recorded in pkg.Errs")
 	}
 }

@@ -3,14 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -28,16 +26,18 @@ type Package struct {
 	Errs []error
 }
 
-// Loader parses and type-checks packages of one module from source.
-// Module-internal imports are resolved recursively from the module tree;
-// standard-library imports go through the compiler-independent source
-// importer, so the loader needs no precompiled export data.
+// Loader parses and type-checks packages of one module from source, so
+// it needs no precompiled export data. go/build selects each package's
+// files as the go tool would. Module-internal imports are resolved
+// recursively from the module tree; every other import goes to the
+// loader's own standard-library importer, which type-checks each
+// package once, from source, without its function bodies.
 type Loader struct {
 	ModulePath string
 	RootDir    string
 
 	fset    *token.FileSet
-	std     types.Importer
+	std     *stdImporter
 	pkgs    map[string]*Package
 	loading map[string]bool
 	dirs    *Directives
@@ -61,7 +61,7 @@ func NewLoader(dir, modulePath string) (*Loader, error) {
 		ModulePath: modulePath,
 		RootDir:    abs,
 		fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        newStdImporter(fset),
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
 		dirs:       NewDirectives(),
@@ -206,90 +206,6 @@ func sourceFileName(name string) bool {
 		!strings.HasPrefix(name, ".")
 }
 
-// Platform constraint evaluation: the analyzers run on the host the lint
-// runs on, so files constrained to another GOOS/GOARCH are excluded just
-// as the compiler would exclude them — analyzing them would produce
-// type errors against the host's dependency set.
-
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// fileNameConstraintOK evaluates the _GOOS and _GOARCH filename suffix
-// convention (name_linux.go, name_arm64.go, name_linux_arm64.go).
-func fileNameConstraintOK(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 {
-			if penult := parts[len(parts)-2]; knownOS[penult] && penult != runtime.GOOS {
-				return false
-			}
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// buildConstraintOK evaluates a parsed file's //go:build (or legacy
-// // +build) constraint against the host platform. Files without a
-// constraint are always included.
-func buildConstraintOK(f *ast.File) bool {
-	for _, g := range f.Comments {
-		if g.Pos() >= f.Package {
-			break
-		}
-		for _, c := range g.List {
-			if !constraint.IsGoBuild(c.Text) && !constraint.IsPlusBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue // malformed constraint: include, let the compiler complain
-			}
-			return expr.Eval(buildTagSatisfied)
-		}
-	}
-	return true
-}
-
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "aix", "android", "darwin", "dragonfly", "freebsd", "illumos",
-			"ios", "linux", "netbsd", "openbsd", "solaris":
-			return true
-		}
-		return false
-	}
-	// Any toolchain new enough to build this module satisfies its go1.x
-	// tags; custom tags are off by default, as in the go tool.
-	return strings.HasPrefix(tag, "go1.")
-}
-
 func (l *Loader) importPathFor(dir string) (string, error) {
 	rel, err := filepath.Rel(l.RootDir, dir)
 	if err != nil {
@@ -321,30 +237,23 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
+	// The go tool's own file selection: build constraints, filename
+	// suffixes and cgo are judged by go/build, from each file's header,
+	// against the same context the standard-library importer resolves in.
 	dir := l.dirForImport(path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", path, err)
+	bp, err := build.Default.ImportDir(dir, 0)
+	if _, ok := err.(*build.NoGoError); ok {
+		l.pkgs[path] = nil
+		return nil, nil
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !sourceFileName(e.Name()) || !fileNameConstraintOK(e.Name()) {
-			continue
-		}
-		names = append(names, e.Name())
-	}
+	names := append(append([]string(nil), bp.GoFiles...), bp.CgoFiles...)
 	sort.Strings(names)
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			pkg.Errs = append(pkg.Errs, err)
-			continue
-		}
-		if !buildConstraintOK(f) {
-			continue
-		}
-		pkg.Files = append(pkg.Files, f)
+	pkg := &Package{Path: path, Dir: dir, Fset: l.fset}
+	pkg.Files, pkg.Errs = parseFiles(l.fset, dir, names, parser.ParseComments, false)
+	if err != nil && len(pkg.Errs) == 0 {
+		// A problem the parser cannot see: an unreadable directory, a
+		// malformed constraint, files of two packages.
+		pkg.Errs = append(pkg.Errs, err)
 	}
 	if len(pkg.Files) == 0 && len(pkg.Errs) == 0 {
 		l.pkgs[path] = nil

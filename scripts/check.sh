@@ -23,11 +23,13 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-# Fuzz smoke: a bounded run of the GEMM kernels against their bit-exact
-# reference. Plain go test above already ran the seed corpus; a failing
-# input lands in internal/tensor/testdata/fuzz as a regression fixture.
+# Fuzz smoke: bounded runs of the GEMM kernels against their bit-exact
+# reference and of the loader's function-body blanker against the
+# parser. Plain go test above already ran the seed corpora; a failing
+# input lands in the package's testdata/fuzz as a regression fixture.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzBlankBodies$' -fuzztime 10s ./internal/analysis
 
 # Artifact directory shared by the SARIF and repro-smoke steps. CI sets
 # CHECK_ARTIFACT_DIR to a directory it uploads; local runs use a
