@@ -386,6 +386,25 @@ func BenchmarkAccuracyQ15CKS(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainEpochHAR is one quick-scale HAR fine-tune epoch, the
+// unit the pruner repeats after every pruning step: minibatch SGD over
+// the quick training split at the pruner's default batch. The batches
+// fan out GOMAXPROCS wide; run it at -cpu 1,2 to see the fan-out.
+func BenchmarkTrainEpochHAR(b *testing.B) {
+	ds, err := report.LoadData("HAR", report.Quick, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := models.HAR(1)
+	opt := nn.NewSGD(report.Quick.LR, 0.9)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.TrainEpoch(net, ds.Train, opt, core.DefaultOptions().Batch, rng)
+	}
+}
+
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	conv := nn.NewConv2D("c", tensor.ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, rng)

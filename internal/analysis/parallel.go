@@ -72,27 +72,15 @@ func lintTasks(analyzers []*Analyzer, modulePkgs, targets []*Package, dirs *Dire
 	return tasks
 }
 
-// executeTasks runs every task and returns the results indexed by task.
-// workers <= 1 runs sequentially; otherwise a bounded pool executes the
-// tasks with workers-way parallelism (the calling goroutine counts as
-// one worker). An analyzer panic is re-raised on the caller, matching
-// sequential behavior.
+// executeTasks runs every task with workers-way parallelism (the
+// calling goroutine counts as one worker; workers <= 1 runs them in
+// order) and returns the results indexed by task. An analyzer panic is
+// re-raised on the caller, matching sequential behavior.
 func executeTasks(tasks []lintTask, workers int) [][]Diagnostic {
 	results := make([][]Diagnostic, len(tasks))
-	if workers <= 1 || len(tasks) <= 1 {
-		for i, t := range tasks {
-			results[i] = t.run()
-		}
-		return results
-	}
-	p := pool.New(workers - 1)
-	defer p.Close()
-	err := p.ForEach(context.Background(), len(tasks), func(i int) {
+	_ = pool.Run(context.Background(), workers, len(tasks), func(i int) {
 		results[i] = tasks[i].run()
-	})
-	if pe, ok := err.(*pool.PanicError); ok {
-		panic(pe.Value)
-	}
+	}) // a Background context never cancels
 	return results
 }
 

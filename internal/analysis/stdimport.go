@@ -155,18 +155,7 @@ func parseFiles(fset *token.FileSet, dir string, names []string, mode parser.Mod
 		}
 		parsed[i], failed[i] = parser.ParseFile(fset, path, src, mode)
 	}
-	if workers := min(runtime.GOMAXPROCS(0), len(names)); workers > 1 {
-		p := pool.New(workers - 1) // the caller is the last worker
-		err := p.ForEach(context.Background(), len(names), parse)
-		p.Close()
-		if pe, ok := err.(*pool.PanicError); ok {
-			panic(pe.Value)
-		}
-	} else {
-		for i := range names {
-			parse(i)
-		}
-	}
+	_ = pool.Run(context.Background(), runtime.GOMAXPROCS(0), len(names), parse) // a Background context never cancels
 	var files []*ast.File
 	var errs []error
 	for i := range names {

@@ -11,6 +11,7 @@ import (
 	"iprune/internal/energy"
 	"iprune/internal/hawaii"
 	"iprune/internal/models"
+	"iprune/internal/nn"
 	"iprune/internal/obs"
 	"iprune/internal/pool"
 	"iprune/internal/power"
@@ -114,21 +115,8 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 			own[i].acc, own[i].err = deployedAccuracy(results[i].Model, nodes[i].seed)
 		}
 	}
-	tasks := len(keys) + len(nodes)
-	if workers <= 1 {
-		for t := 0; t < tasks; t++ {
-			task(t)
-		}
-	} else {
-		p := pool.New(workers - 1) // the calling goroutine participates
-		if err := p.ForEach(context.Background(), tasks, task); err != nil {
-			p.Close()
-			if pe, ok := err.(*pool.PanicError); ok {
-				panic(pe.Value)
-			}
-			return nil, err
-		}
-		p.Close()
+	if err := pool.Run(context.Background(), workers, len(keys)+len(nodes), task); err != nil {
+		return nil, err
 	}
 	hub.Close()
 	for i := range results {
@@ -238,7 +226,8 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 	}
 	cfg.Train, cfg.Test = 1, accSamples
 	ds := build(cfg, seed)
-	return quant.AccuracyQ15(quant.QuantizeWeights(net), ds.Test), nil
+	// The probe is already one task of Run's fan-out: it runs at width 1.
+	return nn.Evaluate(quant.QuantizeWeights(net), ds.Test, 1, quant.PredictorQ15), nil
 }
 
 // simulate runs one node's power and cost simulation: one power

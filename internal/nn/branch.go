@@ -26,8 +26,10 @@ type Branch struct {
 	LayerName string
 	Paths     [][]Layer
 
-	outShapes [][]int
-	inShape   []int
+	inShape     []int
+	outs        []*tensor.Tensor // each path's output in the last Forward
+	grads       []tensor.Tensor  // views of each path's slice of dL/dOut
+	out, gradIn *tensor.Tensor
 }
 
 // NewBranch constructs a multi-path module.
@@ -70,8 +72,7 @@ func (b *Branch) Forward(in *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: branch %s wants CHW input, got shape %v", b.LayerName, in.Shape))
 	}
 	b.inShape = append(b.inShape[:0], in.Shape...)
-	b.outShapes = b.outShapes[:0]
-	var outs []*tensor.Tensor
+	b.outs = b.outs[:0]
 	totalC := 0
 	h, w := -1, -1
 	for pi, path := range b.Paths {
@@ -89,12 +90,11 @@ func (b *Branch) Forward(in *tensor.Tensor) *tensor.Tensor {
 				b.LayerName, pi, x.Shape[1], x.Shape[2], h, w))
 		}
 		totalC += x.Shape[0]
-		b.outShapes = append(b.outShapes, append([]int(nil), x.Shape...))
-		outs = append(outs, x)
+		b.outs = append(b.outs, x)
 	}
-	out := tensor.New(totalC, h, w)
+	out := reuse(&b.out, totalC, h, w)
 	off := 0
-	for _, x := range outs {
+	for _, x := range b.outs {
 		copy(out.Data[off:], x.Data)
 		off += x.Len()
 	}
@@ -103,15 +103,18 @@ func (b *Branch) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (b *Branch) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(b.inShape...)
+	gradIn := reuse(&b.gradIn, b.inShape...)
+	if len(b.grads) != len(b.Paths) {
+		b.grads = make([]tensor.Tensor, len(b.Paths))
+	}
 	off := 0
 	for pi, path := range b.Paths {
-		n := 1
-		for _, d := range b.outShapes[pi] {
-			n *= d
-		}
-		g := tensor.FromData(gradOut.Data[off:off+n], b.outShapes[pi]...)
-		off += n
+		// The path's output belongs to its last layer and is valid only
+		// until that layer's Backward below.
+		g := &b.grads[pi]
+		g.Shape = append(g.Shape[:0], b.outs[pi].Shape...)
+		g.Data = gradOut.Data[off : off+b.outs[pi].Len()]
+		off += len(g.Data)
 		for i := len(path) - 1; i >= 0; i-- {
 			g = path[i].Backward(g)
 		}

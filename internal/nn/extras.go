@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"iprune/internal/tensor"
 )
@@ -17,6 +18,7 @@ type AvgPool2D struct {
 	C, InH, InW    int
 	KH, KW, SH, SW int
 	OutH, OutW     int
+	out, gradIn    *tensor.Tensor
 }
 
 // NewAvgPool2D constructs a square average pooling layer.
@@ -47,7 +49,7 @@ func (l *AvgPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *AvgPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(l.C, l.OutH, l.OutW)
+	out := reuse(&l.out, l.C, l.OutH, l.OutW)
 	inv := 1 / float32(l.KH*l.KW)
 	oi := 0
 	for c := 0; c < l.C; c++ {
@@ -71,7 +73,7 @@ func (l *AvgPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(l.C, l.InH, l.InW)
+	gradIn := reuse(&l.gradIn, l.C, l.InH, l.InW)
 	inv := 1 / float32(l.KH*l.KW)
 	oi := 0
 	for c := 0; c < l.C; c++ {
@@ -93,7 +95,11 @@ func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Clone implements Layer.
-func (l *AvgPool2D) Clone() Layer { c := *l; return &c }
+func (l *AvgPool2D) Clone() Layer {
+	c := *l
+	c.out, c.gradIn = nil, nil
+	return &c
+}
 
 // ---------------------------------------------------------------------------
 // Adam
@@ -155,21 +161,7 @@ func (a *Adam) Step(n *Network, batchSize int) {
 }
 
 // TrainEpochAdam runs one epoch of minibatch Adam over samples and
-// returns the mean loss. (TrainEpoch's SGD counterpart.)
+// returns the mean loss: TrainEpoch with Adam's step.
 func TrainEpochAdam(n *Network, samples []Sample, opt *Adam, batch int, rng interface{ Perm(int) []int }) float64 {
-	if batch <= 0 {
-		batch = 16
-	}
-	idx := rng.Perm(len(samples))
-	var total float64
-	for start := 0; start < len(idx); start += batch {
-		end := min(start+batch, len(idx))
-		n.ZeroGrads()
-		for _, i := range idx[start:end] {
-			s := samples[i]
-			total += n.LossBackward(s.X, s.Label)
-		}
-		opt.Step(n, end-start)
-	}
-	return total / float64(len(samples))
+	return epoch(n, samples, batch, rng, opt.Step, runtime.GOMAXPROCS(0))
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"iprune/internal/tensor"
 )
@@ -42,19 +43,45 @@ func (k Kind) String() string {
 }
 
 // Layer is a single differentiable network stage operating on one sample.
+//
+// A layer owns the tensors it returns. Forward and Backward reuse one
+// output and one input-gradient tensor per layer, zeroed on reuse as a
+// fresh tensor.New would be, so a warmed pass allocates nothing. A
+// returned tensor therefore stays valid only until the layer's next
+// Forward or Backward call; a caller that keeps one longer copies it.
+// One layer serves one goroutine at a time: concurrent passes run on
+// separate clones.
 type Layer interface {
 	Name() string
 	Kind() Kind
-	// Forward consumes a CHW (or flat) input and returns the output.
-	// Implementations may retain references to the input for backprop.
+	// Forward consumes a CHW (or flat) input and returns the output,
+	// valid until the layer's next call. Implementations may retain
+	// the input for backprop, so it must stay unchanged until the
+	// matching Backward.
 	Forward(in *tensor.Tensor) *tensor.Tensor
-	// Backward consumes dL/dOut and returns dL/dIn, accumulating
-	// parameter gradients.
+	// Backward consumes dL/dOut and returns dL/dIn, valid until the
+	// layer's next call, adding each parameter's gradient for the
+	// sample to Param.Grad in one addition per element.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns learnable parameters (possibly empty).
 	Params() []*Param
-	// Clone returns a deep copy with independent parameters and masks.
+	// Clone returns a deep copy with independent parameters and masks
+	// that shares no buffer with the original.
 	Clone() Layer
+}
+
+// reuse returns the layer-owned tensor *t, zeroed, if it has the given
+// shape, and otherwise stores a new zeroed tensor of that shape in *t
+// and returns it: tensor.New's result without its allocation on reuse.
+func reuse(t **tensor.Tensor, shape ...int) *tensor.Tensor {
+	if *t == nil || !slices.Equal((*t).Shape, shape) {
+		// New formats its shape into a panic message, which would move
+		// every caller's shape argument to the heap; pass it a copy.
+		*t = tensor.New(slices.Clone(shape)...)
+	} else {
+		(*t).Zero()
+	}
+	return *t
 }
 
 // Prunable is implemented by layers whose weights form a GEMM matrix that
@@ -85,9 +112,9 @@ type Conv2D struct {
 	B         *Param // OutC
 	mask      *BlockMask
 
-	col  []float32 // scratch: K×N patch matrix of the last input
-	dcol []float32
-	in   *tensor.Tensor
+	col         []float32 // scratch: K×N patch matrix of the last input
+	dcol        []float32
+	out, gradIn *tensor.Tensor
 }
 
 // NewConv2D constructs and He-initializes a convolution layer.
@@ -140,7 +167,7 @@ func (l *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	}
 	l.col = l.col[:kn]
 	tensor.Im2col(g, in.Data, l.col)
-	out := tensor.New(g.OutC, g.OutH, g.OutW)
+	out := reuse(&l.out, g.OutC, g.OutH, g.OutW)
 	tensor.Gemm(l.W.Data, l.col, out.Data, g.OutC, g.K(), g.N(), false)
 	n := g.N()
 	for oc := 0; oc < g.OutC; oc++ {
@@ -150,7 +177,6 @@ func (l *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 			row[i] += b
 		}
 	}
-	l.in = in
 	return out
 }
 
@@ -176,7 +202,7 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	l.dcol = l.dcol[:kn]
 	tensor.GemmTA(l.W.Data, gradOut.Data, l.dcol, g.K(), g.OutC, n, false)
-	gradIn := tensor.New(g.InC, g.InH, g.InW)
+	gradIn := reuse(&l.gradIn, g.InC, g.InH, g.InW)
 	tensor.Col2im(g, l.dcol, gradIn.Data)
 	return gradIn
 }
@@ -200,7 +226,8 @@ type FC struct {
 	W         *Param
 	B         *Param
 	mask      *BlockMask
-	in        *tensor.Tensor
+
+	in, out, gradIn *tensor.Tensor
 }
 
 // NewFC constructs and He-initializes a fully connected layer.
@@ -242,7 +269,7 @@ func (l *FC) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if in.Len() != l.In {
 		panic(fmt.Sprintf("nn: %s: input %d, want %d", l.LayerName, in.Len(), l.In))
 	}
-	out := tensor.New(l.Out)
+	out := reuse(&l.out, l.Out)
 	tensor.Gemm(l.W.Data, in.Data, out.Data, l.Out, l.In, 1, false)
 	for i := range out.Data {
 		out.Data[i] += l.B.Data[i]
@@ -256,17 +283,19 @@ func (l *FC) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	for i, g := range gradOut.Data {
 		l.B.Grad[i] += g
 	}
-	// dW[o][i] += gOut[o] * in[i]
+	// dW[o][i] += gOut[o] * in[i]. The product is rounded on its own so
+	// that it is never fused into the addition: the gradient takes one
+	// rounded per-sample term, whatever the target's FMA support.
 	for o, g := range gradOut.Data {
 		if g == 0 {
 			continue
 		}
 		row := l.W.Grad[o*l.In : o*l.In+l.In]
 		for i, x := range l.in.Data {
-			row[i] += g * x
+			row[i] += float32(g * x)
 		}
 	}
-	gradIn := tensor.New(l.In)
+	gradIn := reuse(&l.gradIn, l.In)
 	tensor.GemmTA(l.W.Data, gradOut.Data, gradIn.Data, l.In, l.Out, 1, false)
 	return gradIn
 }
@@ -290,6 +319,7 @@ type MaxPool2D struct {
 	KH, KW, SH, SW int
 	OutH, OutW     int
 	argmax         []int
+	out, gradIn    *tensor.Tensor
 }
 
 // NewMaxPool2D constructs a square max pooling layer.
@@ -320,7 +350,7 @@ func (l *MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(l.C, l.OutH, l.OutW)
+	out := reuse(&l.out, l.C, l.OutH, l.OutW)
 	if cap(l.argmax) < out.Len() {
 		l.argmax = make([]int, out.Len())
 	}
@@ -354,7 +384,7 @@ func (l *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(l.C, l.InH, l.InW)
+	gradIn := reuse(&l.gradIn, l.C, l.InH, l.InW)
 	for i, g := range gradOut.Data {
 		gradIn.Data[l.argmax[i]] += g
 	}
@@ -364,7 +394,7 @@ func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Clone implements Layer.
 func (l *MaxPool2D) Clone() Layer {
 	c := *l
-	c.argmax = nil
+	c.argmax, c.out, c.gradIn = nil, nil, nil
 	return &c
 }
 
@@ -373,8 +403,9 @@ func (l *MaxPool2D) Clone() Layer {
 
 // GlobalAvgPool averages each channel plane to a single value.
 type GlobalAvgPool struct {
-	LayerName string
-	C, H, W   int
+	LayerName   string
+	C, H, W     int
+	out, gradIn *tensor.Tensor
 }
 
 // NewGlobalAvgPool constructs a global average pooling layer.
@@ -393,7 +424,7 @@ func (l *GlobalAvgPool) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *GlobalAvgPool) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(l.C)
+	out := reuse(&l.out, l.C)
 	hw := l.H * l.W
 	inv := 1 / float32(hw)
 	for c := 0; c < l.C; c++ {
@@ -408,7 +439,7 @@ func (l *GlobalAvgPool) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(l.C, l.H, l.W)
+	gradIn := reuse(&l.gradIn, l.C, l.H, l.W)
 	hw := l.H * l.W
 	inv := 1 / float32(hw)
 	for c := 0; c < l.C; c++ {
@@ -422,15 +453,16 @@ func (l *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Clone implements Layer.
-func (l *GlobalAvgPool) Clone() Layer { c := *l; return &c }
+func (l *GlobalAvgPool) Clone() Layer { return NewGlobalAvgPool(l.LayerName, l.C, l.H, l.W) }
 
 // ---------------------------------------------------------------------------
 // ReLU
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	LayerName string
-	mask      []bool
+	LayerName   string
+	mask        []bool
+	out, gradIn *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU layer.
@@ -447,7 +479,7 @@ func (l *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape...)
+	out := reuse(&l.out, in.Shape...)
 	if cap(l.mask) < in.Len() {
 		l.mask = make([]bool, in.Len())
 	}
@@ -465,7 +497,7 @@ func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(gradOut.Shape...)
+	gradIn := reuse(&l.gradIn, gradOut.Shape...)
 	for i, g := range gradOut.Data {
 		if l.mask[i] {
 			gradIn.Data[i] = g
@@ -482,8 +514,8 @@ func (l *ReLU) Clone() Layer { return &ReLU{LayerName: l.LayerName} }
 
 // Flatten reshapes a CHW tensor to a vector.
 type Flatten struct {
-	LayerName string
-	inShape   []int
+	LayerName   string
+	out, gradIn tensor.Tensor // views: Flatten reshapes, it never copies
 }
 
 // NewFlatten constructs a flatten layer.
@@ -500,13 +532,16 @@ func (l *Flatten) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *Flatten) Forward(in *tensor.Tensor) *tensor.Tensor {
-	l.inShape = append(l.inShape[:0], in.Shape...)
-	return tensor.FromData(in.Data, in.Len())
+	l.gradIn.Shape = append(l.gradIn.Shape[:0], in.Shape...)
+	l.out.Shape = append(l.out.Shape[:0], in.Len())
+	l.out.Data = in.Data
+	return &l.out
 }
 
 // Backward implements Layer.
 func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return tensor.FromData(gradOut.Data, l.inShape...)
+	l.gradIn.Data = gradOut.Data
+	return &l.gradIn
 }
 
 // Clone implements Layer.

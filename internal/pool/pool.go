@@ -1,6 +1,7 @@
 // Package pool is the repo's bounded worker pool: the parallel
-// execution core that power sweeps, candidate evaluation, and the lint
-// driver shard work onto.
+// execution core that power sweeps, fleet runs, the lint driver and
+// loader, and nn's training and evaluation passes shard work onto,
+// most of them through the one-shot Run.
 //
 // Design constraints, in order:
 //
@@ -194,4 +195,27 @@ func (p *Pool) Close() {
 	defer p.mu.Unlock()
 	close(p.stop)
 	p.wg.Wait()
+}
+
+// Run runs fn(i) for every i in [0,n) on at most workers goroutines,
+// the caller being one of them, and returns once every started task has
+// finished: the one-shot form of New, ForEach and Close. With
+// workers <= 1 or n <= 1 the tasks run inline, in index order, and no
+// goroutine starts. A task panic is re-raised on the caller with the
+// task's panic value. On cancellation the remaining indices are
+// abandoned; Run returns ctx.Err(), which is nil when every task ran.
+func Run(ctx context.Context, workers, n int, fn func(int)) error {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return ctx.Err()
+	}
+	p := New(min(workers, n) - 1)
+	defer p.Close()
+	err := p.ForEach(ctx, n, fn)
+	if pe, ok := err.(*PanicError); ok {
+		panic(pe.Value)
+	}
+	return err
 }

@@ -210,3 +210,41 @@ func BenchmarkForEach(b *testing.B) {
 		}
 	}
 }
+
+// Run is inline and in index order at width 1, fans out otherwise,
+// re-raises a task panic on the caller and returns ctx.Err().
+func TestRun(t *testing.T) {
+	ctx := context.Background()
+	var order []int
+	if err := Run(ctx, 1, 5, func(i int) { order = append(order, i) }); err != nil || len(order) != 5 || order[4] != 4 {
+		t.Fatalf("width 1: order %v, err %v", order, err)
+	}
+	var hits [100]atomic.Int32
+	if err := Run(ctx, 3, len(hits), func(i int) { hits[i].Add(1) }); err != nil {
+		t.Fatalf("width 3: %v", err)
+	}
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("width 3: index %d ran %d times", i, hits[i].Load())
+		}
+	}
+	for _, w := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("width %d: recovered %v, want the task's panic value", w, r)
+				}
+			}()
+			_ = Run(ctx, w, 8, func(i int) {
+				if i == 5 {
+					panic("boom")
+				}
+			})
+		}()
+		canceled, cancel := context.WithCancel(ctx)
+		cancel()
+		if err := Run(canceled, w, 8, func(int) { t.Errorf("width %d: task ran under a canceled ctx", w) }); !errors.Is(err, context.Canceled) {
+			t.Errorf("width %d: err %v, want context.Canceled", w, err)
+		}
+	}
+}

@@ -14,6 +14,8 @@ package quant
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"iprune/internal/fixed"
 	"iprune/internal/nn"
@@ -96,9 +98,14 @@ func QuantizeWeights(net *nn.Network) *nn.Network {
 
 // ForwardQ15 runs one sample through the network, rounding the activations
 // through Q15 after every layer — the deployment numerics. The input is
-// rounded too. Returns the logits.
+// rounded too, in a copy. Returns the logits, which belong to the last
+// layer (see nn.Layer).
 func ForwardQ15(net *nn.Network, in *tensor.Tensor) *tensor.Tensor {
-	x := in.Clone()
+	return forwardQ15(net, in.Clone())
+}
+
+// forwardQ15 is ForwardQ15 rounding the input x in place.
+func forwardQ15(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	fixed.FakeQuantize(x.Data)
 	for _, l := range net.Layers {
 		x = l.Forward(x)
@@ -109,9 +116,27 @@ func ForwardQ15(net *nn.Network, in *tensor.Tensor) *tensor.Tensor {
 
 // PredictQ15 returns the argmax class under deployment numerics.
 func PredictQ15(net *nn.Network, in *tensor.Tensor) int {
-	logits := ForwardQ15(net, in)
-	best, bestIdx := logits.Data[0], 0
-	for i, v := range logits.Data[1:] {
+	return argmax(ForwardQ15(net, in).Data)
+}
+
+// PredictorQ15 is the nn.Predictor of deployment numerics: its predict
+// function is PredictQ15 on net, rounding each input in one scratch
+// copy instead of a new one per call.
+func PredictorQ15(net *nn.Network) func(*tensor.Tensor) int {
+	var x *tensor.Tensor
+	return func(in *tensor.Tensor) int {
+		if x == nil || !slices.Equal(x.Shape, in.Shape) {
+			x = tensor.New(in.Shape...)
+		}
+		copy(x.Data, in.Data)
+		return argmax(forwardQ15(net, x).Data)
+	}
+}
+
+// argmax returns the index of the first largest logit.
+func argmax(logits []float32) int {
+	best, bestIdx := logits[0], 0
+	for i, v := range logits[1:] {
 		if v > best {
 			best, bestIdx = v, i+1
 		}
@@ -119,17 +144,9 @@ func PredictQ15(net *nn.Network, in *tensor.Tensor) int {
 	return bestIdx
 }
 
-// AccuracyQ15 evaluates top-1 accuracy under deployment numerics; call on
-// a QuantizeWeights clone to measure the deployed model's accuracy.
+// AccuracyQ15 evaluates top-1 accuracy under deployment numerics, spread
+// over GOMAXPROCS goroutines; call on a QuantizeWeights clone to measure
+// the deployed model's accuracy.
 func AccuracyQ15(net *nn.Network, samples []nn.Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if PredictQ15(net, s.X) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
+	return nn.Evaluate(net, samples, runtime.GOMAXPROCS(0), PredictorQ15)
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"iprune/internal/dataset"
+	"iprune/internal/models"
 	"iprune/internal/nn"
 	"iprune/internal/tensor"
 	"iprune/internal/tile"
@@ -146,5 +148,51 @@ func TestAccuracyQ15OnSeparableData(t *testing.T) {
 	}
 	if math.Abs(qAcc-floatAcc) > 0.1 {
 		t.Errorf("Q15 accuracy %v deviates from float %v", qAcc, floatAcc)
+	}
+}
+
+// refAccuracyQ15 is AccuracyQ15's sequential loop from before it fanned
+// out, kept verbatim as the reference nn.Evaluate with PredictorQ15 must
+// match at any width.
+func refAccuracyQ15(net *nn.Network, samples []nn.Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	correct := 0
+	for _, s := range samples {
+		if PredictQ15(net, s.X) == s.Label {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples))
+}
+
+// TestAccuracyQ15WidthBitIdentical evaluates quantized HAR and CKS
+// models at widths 1, 2, 3 and 8. Every other sample is relabelled to
+// the reference's own prediction and the rest away from it, so a single
+// prediction that differs from the reference moves the accuracy.
+func TestAccuracyQ15WidthBitIdentical(t *testing.T) {
+	har := dataset.HAR(dataset.Config{Train: 1, Test: 13, Noise: 0.87}, 2)
+	cks := dataset.Speech(dataset.Config{Train: 1, Test: 5, Noise: 0.88}, 3)
+	for _, c := range []struct {
+		net     *nn.Network
+		samples []nn.Sample
+	}{
+		{QuantizeWeights(models.HAR(4)), har.Test},
+		{QuantizeWeights(models.CKS(5)), cks.Test},
+		{QuantizeWeights(models.HAR(4)), nil},
+	} {
+		for i, s := range c.samples {
+			c.samples[i].Label = (PredictQ15(c.net, s.X) + i%2) % c.net.Classes
+		}
+		want := refAccuracyQ15(c.net, c.samples)
+		for _, w := range []int{1, 2, 3, 8} {
+			if got := nn.Evaluate(c.net, c.samples, w, PredictorQ15); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, %d samples, width %d: accuracy %v, want %v", c.net.Name, len(c.samples), w, got, want)
+			}
+		}
+		if got := AccuracyQ15(c.net, c.samples); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s, %d samples: AccuracyQ15 %v, want %v", c.net.Name, len(c.samples), got, want)
+		}
 	}
 }

@@ -254,34 +254,14 @@ func PowerSweepContext(ctx context.Context, net *Network, sups []Supply, seed in
 		return pts
 	}
 	done := make([]bool, len(sups))
-	runPoint := func(i int) {
+	err := pool.Run(ctx, workers, len(sups), func(i int) {
 		pts[i].Result, pts[i].Err = Simulate(net, sups[i], seed)
 		done[i] = true
-	}
-	markSkipped := func(err error) {
-		for i := range pts {
-			if !done[i] {
-				pts[i].Err = err
-			}
+	})
+	for i := range pts {
+		if err != nil && !done[i] {
+			pts[i].Err = err
 		}
-	}
-	if workers <= 1 || len(sups) <= 1 {
-		for i := range sups {
-			if err := ctx.Err(); err != nil {
-				markSkipped(err)
-				return pts
-			}
-			runPoint(i)
-		}
-		return pts
-	}
-	p := pool.New(workers - 1) // the calling goroutine participates
-	defer p.Close()
-	if err := p.ForEach(ctx, len(sups), runPoint); err != nil {
-		if pe, ok := err.(*pool.PanicError); ok {
-			panic(pe.Value)
-		}
-		markSkipped(err)
 	}
 	return pts
 }

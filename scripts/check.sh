@@ -23,6 +23,15 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# Data-parallel training and evaluation: the width tests compare the
+# fanned-out passes at widths 1, 2, 3 and 8, bit for bit, with the
+# sequential loops kept in the tests, and the buffer tests check that
+# layer-owned buffers never leak between samples or clones. Repeat them
+# under the race detector so a replica or slot shared by two workers
+# shows up.
+echo "== parallel passes (race, 10x)"
+go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAdamWidthBitIdentical|TestAccuracyQ15WidthBitIdentical|TestLayerBuffersIsolateSamples|TestCloneSharesNoBuffer)$' ./internal/nn ./internal/quant
+
 # Fuzz smoke: bounded runs of the GEMM kernels against their bit-exact
 # reference and of the loader's function-body blanker against the
 # parser. Plain go test above already ran the seed corpora; a failing
