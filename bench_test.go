@@ -418,6 +418,28 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConvHAR is one forward and one backward pass of HAR's conv3,
+// the heaviest convolution of a prune op: Gemm 48×180 · 180×32 forward,
+// GemmTB (weight gradient), GemmTA (input gradient), Im2col and Col2im.
+func BenchmarkConvHAR(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	conv := nn.NewConv2D("conv3", tensor.ConvGeom{InC: 20, InH: 1, InW: 32, OutC: 48, KH: 1, KW: 9, StrideH: 1, StrideW: 1, PadW: 4}, rng)
+	in := tensor.New(20, 1, 32)
+	for i := range in.Data {
+		in.Data[i] = rng.Float32()
+	}
+	gradOut := tensor.New(48, 1, 32)
+	for i := range gradOut.Data {
+		gradOut.Data[i] = rng.Float32()*2 - 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Forward(in)
+		conv.Backward(gradOut)
+	}
+}
+
 func BenchmarkEngineInferHAR(b *testing.B) {
 	net := models.HAR(1)
 	cfg := tile.DefaultConfig()

@@ -90,15 +90,28 @@ func (t *Tensor) flat(idx []int) int {
 // four nonzero entries of the A row and applies them in one pass over
 // the row, each C element held in a register across its four additions,
 // so C is loaded and stored once per four products instead of once per
-// product. With n == 1 each row is a scalar dot product. The result is
-// bit-identical to the plain i-p-j loop: every C element still takes its
-// products one at a time, in ascending p, each addition rounded to
-// float32, and a product whose A entry is zero is still skipped (adding
-// it could turn a -0 sum into +0, or make a NaN from 0·Inf).
+// product. With n == 1 each row is a scalar dot product. On amd64 the
+// row is an SSE2 routine instead (gemm_amd64.s), which holds sixteen C
+// elements in registers across the whole row of A. The result is
+// bit-identical to the plain i-p-j loop on every path: every C element
+// still takes its products one at a time, in ascending p, each product
+// and each addition rounded to float32 (never fused), and a product whose
+// A entry is zero is still skipped (adding it could turn a -0 sum into
+// +0, or make a NaN from 0·Inf).
 //
 //iprune:hotpath
 //iprune:allow-budget training-time float kernel; runs on the workstation and never inside a harvested power cycle
 func Gemm(a, b, c []float32, m, k, n int, accumulate bool) {
+	gemm(a, b, c, m, k, n, accumulate, gemmRow)
+}
+
+// rowKernel adds a[p*stride]·B[p,:] to crow for p ascending from 0 to
+// k-1, skipping zero A entries, where B is k×len(crow): one C row of
+// Gemm (stride 1) or GemmTA (stride m). gemmRow is the fastest one the
+// build has, gemmRowGo the portable one.
+type rowKernel func(a []float32, stride, k int, b, crow []float32)
+
+func gemm(a, b, c []float32, m, k, n int, accumulate bool, row rowKernel) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: gemm buffer too small")
 	}
@@ -106,7 +119,7 @@ func Gemm(a, b, c []float32, m, k, n int, accumulate bool) {
 		clear(c[:m*n])
 	}
 	for i := 0; i < m; i++ {
-		gemmRow(a[i*k:], 1, k, b, c[i*n:i*n+n])
+		row(a[i*k:], 1, k, b, c[i*n:i*n+n])
 	}
 }
 
@@ -115,6 +128,10 @@ func Gemm(a, b, c []float32, m, k, n int, accumulate bool) {
 // (Wᵀ·dY). Row i of C gathers column i of A; the order of additions, and
 // so every bit of the result, is Gemm's on the transposed A.
 func GemmTA(a, b, c []float32, m, k, n int, accumulate bool) {
+	gemmTA(a, b, c, m, k, n, accumulate, gemmRow)
+}
+
+func gemmTA(a, b, c []float32, m, k, n int, accumulate bool, row rowKernel) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("tensor: gemmTA buffer too small")
 	}
@@ -122,20 +139,18 @@ func GemmTA(a, b, c []float32, m, k, n int, accumulate bool) {
 		clear(c[:m*n])
 	}
 	for i := 0; i < m; i++ {
-		gemmRow(a[i:], m, k, b, c[i*n:i*n+n])
+		row(a[i:], m, k, b, c[i*n:i*n+n])
 	}
 }
 
-// gemmRow adds a[p*stride]·B[p,:] to crow for p ascending from 0 to
-// k-1, skipping zero A entries, where B is k×len(crow): one C row of
-// Gemm (stride 1) or GemmTA (stride m), blocked as Gemm describes.
-func gemmRow(a []float32, stride, k int, b, crow []float32) {
+// gemmRowGo is the portable rowKernel, blocked as Gemm describes.
+func gemmRowGo(a []float32, stride, k int, b, crow []float32) {
 	n := len(crow)
 	if n == 1 {
 		s := crow[0]
 		for p := 0; p < k; p++ {
 			if av := a[p*stride]; av != 0 {
-				s += av * b[p]
+				s += float32(av * b[p])
 			}
 		}
 		crow[0] = s
@@ -167,10 +182,10 @@ func gemmRow(a []float32, stride, k int, b, crow []float32) {
 func axpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, c []float32) {
 	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
 	for j, s := range c {
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
+		s += float32(a0 * b0[j])
+		s += float32(a1 * b1[j])
+		s += float32(a2 * b2[j])
+		s += float32(a3 * b3[j])
 		c[j] = s
 	}
 }
@@ -179,7 +194,7 @@ func axpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, c []float32) {
 func axpy1(a float32, b, c []float32) {
 	b = b[:len(c)]
 	for j := range c {
-		c[j] += a * b[j]
+		c[j] += float32(a * b[j])
 	}
 }
 
@@ -187,9 +202,19 @@ func axpy1(a float32, b, c []float32) {
 // C is m×n. Used by backprop for weight gradients (dY·colᵀ). Each C
 // element adds one dot product, summed from zero in ascending p with no
 // zero skip. Four outputs share each pass over the A row, with four
-// independent accumulators, so every sum, and the result, is that of
-// one dot product at a time.
+// independent accumulators (on amd64 eight outputs share it, as the lanes
+// of two SSE2 registers), so every sum, and the result, is that of one
+// dot product at a time.
 func GemmTB(a, b, c []float32, m, k, n int, accumulate bool) {
+	gemmTB(a, b, c, m, k, n, accumulate, gemmTBRow)
+}
+
+// tbKernel adds arow·B[j,:] to crow[j] for every j, where B is
+// len(crow)×len(arow): one C row of GemmTB. gemmTBRow is the fastest one
+// the build has, gemmTBRowGo the portable one.
+type tbKernel func(arow, b, crow []float32)
+
+func gemmTB(a, b, c []float32, m, k, n int, accumulate bool, row tbKernel) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("tensor: gemmTB buffer too small")
 	}
@@ -197,34 +222,38 @@ func GemmTB(a, b, c []float32, m, k, n int, accumulate bool) {
 		clear(c[:m*n])
 	}
 	for i := 0; i < m; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : j*k+k][:len(arow)]
-			b1 := b[(j+1)*k : (j+1)*k+k][:len(arow)]
-			b2 := b[(j+2)*k : (j+2)*k+k][:len(arow)]
-			b3 := b[(j+3)*k : (j+3)*k+k][:len(arow)]
-			var s0, s1, s2, s3 float32
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			crow[j] += s0
-			crow[j+1] += s1
-			crow[j+2] += s2
-			crow[j+3] += s3
+		row(a[i*k:i*k+k], b, c[i*n:i*n+n])
+	}
+}
+
+// gemmTBRowGo is the portable tbKernel.
+func gemmTBRowGo(arow, b, crow []float32) {
+	k, n := len(arow), len(crow)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b0 := b[j*k : j*k+k][:len(arow)]
+		b1 := b[(j+1)*k : (j+1)*k+k][:len(arow)]
+		b2 := b[(j+2)*k : (j+2)*k+k][:len(arow)]
+		b3 := b[(j+3)*k : (j+3)*k+k][:len(arow)]
+		var s0, s1, s2, s3 float32
+		for p, av := range arow {
+			s0 += float32(av * b0[p])
+			s1 += float32(av * b1[p])
+			s2 += float32(av * b2[p])
+			s3 += float32(av * b3[p])
 		}
-		for ; j < n; j++ {
-			brow := b[j*k : j*k+k][:len(arow)]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			crow[j] += s
+		crow[j] += s0
+		crow[j+1] += s1
+		crow[j+2] += s2
+		crow[j+3] += s3
+	}
+	for ; j < n; j++ {
+		brow := b[j*k : j*k+k][:len(arow)]
+		var s float32
+		for p, av := range arow {
+			s += float32(av * brow[p])
 		}
+		crow[j] += s
 	}
 }
 
@@ -258,8 +287,24 @@ func (g *ConvGeom) K() int { return g.InC * g.KH * g.KW }
 // N returns the GEMM output-column dimension of the lowered convolution.
 func (g *ConvGeom) N() int { return g.OutH * g.OutW }
 
+// outCols returns the range [lo, hi) of output columns ow whose input
+// column ow*StrideW - PadW + kw falls inside [0, InW); lo == hi when no
+// column does. Both lie in [0, OutW].
+func (g *ConvGeom) outCols(kw int) (lo, hi int) {
+	if d := g.PadW - kw; d > 0 {
+		lo = min((d+g.StrideW-1)/g.StrideW, g.OutW)
+	}
+	hi = lo
+	if d := g.InW - 1 + g.PadW - kw; d >= 0 {
+		hi = max(lo, min(d/g.StrideW+1, g.OutW))
+	}
+	return lo, hi
+}
+
 // Im2col lowers an input feature map (C×H×W, flattened) into the K×N
 // patch matrix such that W·col = output. col must have length K()*N().
+// Each output row is a run of input pixels between two runs of padding
+// zeros, so it is written as clear, copy (or a strided gather), clear.
 func Im2col(g *ConvGeom, in, col []float32) {
 	if len(in) < g.InC*g.InH*g.InW {
 		panic("tensor: im2col input too small")
@@ -270,29 +315,29 @@ func Im2col(g *ConvGeom, in, col []float32) {
 	}
 	row := 0
 	for c := 0; c < g.InC; c++ {
-		plane := in[c*g.InH*g.InW:]
+		plane := in[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				dst := col[row*n:]
-				i := 0
+				lo, hi := g.outCols(kw)
+				dst := col[row*n : row*n+n]
 				for oh := 0; oh < g.OutH; oh++ {
+					out := dst[oh*g.OutW : oh*g.OutW+g.OutW]
 					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < g.OutW; ow++ {
-							dst[i] = 0
-							i++
-						}
+					if ih < 0 || ih >= g.InH || lo == hi {
+						clear(out)
 						continue
 					}
-					base := ih * g.InW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							dst[i] = 0
-						} else {
-							dst[i] = plane[base+iw]
-						}
-						i++
+					clear(out[:lo])
+					clear(out[hi:])
+					src := plane[ih*g.InW : ih*g.InW+g.InW]
+					iw := lo*g.StrideW - g.PadW + kw
+					if g.StrideW == 1 {
+						copy(out[lo:hi], src[iw:])
+						continue
+					}
+					for ow := lo; ow < hi; ow++ {
+						out[ow] = src[iw]
+						iw += g.StrideW
 					}
 				}
 				row++
@@ -303,32 +348,46 @@ func Im2col(g *ConvGeom, in, col []float32) {
 
 // Col2im scatters gradients from the patch-matrix layout back to the input
 // feature map layout, accumulating overlapping contributions. in is zeroed
-// first.
+// first. Every input pixel takes its contributions in the order of the
+// plain loop over (c, kh, kw, oh, ow); only the padding is skipped.
 func Col2im(g *ConvGeom, col, in []float32) {
-	for i := range in[:g.InC*g.InH*g.InW] {
-		in[i] = 0
-	}
 	n := g.N()
+	if len(col) < g.K()*n {
+		panic("tensor: col2im input too small")
+	}
+	if len(in) < g.InC*g.InH*g.InW {
+		panic("tensor: col2im output too small")
+	}
+	clear(in[:g.InC*g.InH*g.InW])
 	row := 0
 	for c := 0; c < g.InC; c++ {
-		plane := in[c*g.InH*g.InW:]
+		plane := in[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				src := col[row*n:]
-				i := 0
+				lo, hi := g.outCols(kw)
+				src := col[row*n : row*n+n]
 				for oh := 0; oh < g.OutH; oh++ {
 					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						i += g.OutW
+					if ih < 0 || ih >= g.InH || lo == hi {
 						continue
 					}
-					base := ih * g.InW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw >= 0 && iw < g.InW {
-							plane[base+iw] += src[i]
+					run := src[oh*g.OutW+lo : oh*g.OutW+hi]
+					dst := plane[ih*g.InW : ih*g.InW+g.InW]
+					iw := lo*g.StrideW - g.PadW + kw
+					// At stride 1 the run lands on one span of dst;
+					// slicing it out drops the per-element bounds check
+					// the strided loop pays (about 2× faster on HAR's
+					// convolutions). Both add in the same order.
+					if g.StrideW == 1 {
+						dst = dst[iw : iw+len(run)]
+						for i, v := range run {
+							dst[i] += v
 						}
-						i++
+						continue
+					}
+					for _, v := range run {
+						dst[iw] += v
+						iw += g.StrideW
 					}
 				}
 				row++

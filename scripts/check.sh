@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh is the repo's verify entrypoint: formatting, vet, build,
-# tests (with the race detector) and the project's own static analysis.
+# tests (with the race detector, and the assembly kernels without it)
+# and the project's own static analysis.
 # Run from anywhere; it cds to the repo root first.
 set -eu
 
@@ -22,6 +23,27 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+# The race detector cannot see memory accesses made from assembly, so
+# -race builds run the portable Go GEMM kernels, not the SSE2 routines
+# of internal/tensor/gemm_amd64.s. Run the tensor tests once without
+# -race, so that the assembly is checked against the reference loops.
+echo "== tensor kernels (no race)"
+go test -count=1 ./internal/tensor
+
+# Every other GOARCH runs the portable kernels. Vet type-checks the
+# package's test files for arm64 as well, which the build does not
+# compile, so a test naming an amd64-only routine fails here. The build
+# listing keeps the compiler from fusing the kernels' multiply-adds
+# (arm64 would then compute other bits than amd64); it replays from the
+# build cache.
+echo "== tensor kernels (arm64)"
+GOARCH=arm64 go vet ./internal/tensor
+listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1)
+if printf '%s\n' "$listing" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' >&2; then
+    echo "tensor: fused multiply-adds in the arm64 build (above)" >&2
+    exit 1
+fi
 
 # Data-parallel training and evaluation: the width tests compare the
 # fanned-out passes at widths 1, 2, 3 and 8, bit for bit, with the
