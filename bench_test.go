@@ -473,6 +473,24 @@ func BenchmarkCostSimHAR(b *testing.B) {
 	}
 }
 
+// BenchmarkCostSimRunHAR times the cost simulator alone, over a prebuilt
+// schedule of the HAR model: BenchmarkCostSimHAR's RunNetwork rebuilds
+// the schedule on every call.
+func BenchmarkCostSimRunHAR(b *testing.B) {
+	net := models.HAR(1)
+	cfg := tile.DefaultConfig()
+	specs := tile.SpecsFromNetwork(net, cfg)
+	tile.InstallMasks(net, specs)
+	cs := hawaii.NewCostSim(cfg)
+	ops := hawaii.ScheduleFromNetwork(net, specs, tile.Intermittent, cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cs.Run(ops, tile.Intermittent, power.WeakPower, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBSRMulVec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	rows, cols := 64, 512
@@ -501,6 +519,22 @@ func BenchmarkBSRMulVec(b *testing.B) {
 
 func BenchmarkScheduleBuild(b *testing.B) {
 	net := models.SQN(1)
+	cfg := tile.DefaultConfig()
+	specs := tile.SpecsFromNetwork(net, cfg)
+	tile.InstallMasks(net, specs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops := hawaii.ScheduleFromNetwork(net, specs, tile.Intermittent, cfg)
+		if len(ops) == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}
+
+// BenchmarkScheduleBuildHAR builds the schedule of the HAR model, the one
+// the prune and fleet-soak workloads schedule.
+func BenchmarkScheduleBuildHAR(b *testing.B) {
+	net := models.HAR(1)
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)

@@ -65,13 +65,15 @@ func MSP430FR5994() Profile {
 }
 
 // TransferTime returns the latency of moving n bytes between VM and NVM
-// in one DMA transaction.
+// in one DMA transaction. Here and in the other cost functions each
+// product is rounded on its own (float64(a*b)), so that no GOARCH fuses
+// it into an addition and the cost model has the same bits everywhere.
 func (p *Profile) TransferTime(n int64, write bool) float64 {
 	per := p.NVMReadPerByte
 	if write {
 		per = p.NVMWritePerByte
 	}
-	return p.DMAInvokeTime + p.NVMInvokeTime + float64(n)*per
+	return p.DMAInvokeTime + p.NVMInvokeTime + float64(float64(n)*per)
 }
 
 // TransferEnergyOf returns the energy of moving n bytes in one
@@ -81,16 +83,16 @@ func (p *Profile) TransferEnergyOf(n int64, write bool) float64 {
 	if write {
 		per = p.NVMWriteEnergyPB
 	}
-	return p.TransferEnergy + float64(n)*per
+	return p.TransferEnergy + float64(float64(n)*per)
 }
 
 // ComputeTime returns the latency of macs multiply-accumulates on the
 // accelerator, excluding per-op command overhead.
 func (p *Profile) ComputeTime(macs int64) float64 {
-	return float64(macs) * p.MACTime
+	return float64(float64(macs) * p.MACTime)
 }
 
 // ComputeEnergy returns the incremental accelerator energy for macs MACs.
 func (p *Profile) ComputeEnergy(macs int64) float64 {
-	return float64(macs) * p.MACEnergy
+	return float64(float64(macs) * p.MACEnergy)
 }

@@ -113,7 +113,7 @@ func (m Model) AuditTrace(events []obs.Event, harvestW, jitter float64) *AuditRe
 		if c.Energy > r.MaxCycleJ {
 			r.MaxCycleJ = c.Energy
 		}
-		limit := m.BufferJ + harvestW*(1+jitter)*c.OnTime + r.MaxRegionJ
+		limit := m.BufferJ + float64(harvestW*(1+jitter)*c.OnTime) + r.MaxRegionJ
 		if harvestW > 0 && c.Energy > limit+auditTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"power cycle %d drew %s but one charge plus harvest plus one region's overshoot supplies at most %s",

@@ -63,15 +63,16 @@ func (m Model) MACJ(macs int64) float64 {
 // NVMReadJ prices one read transaction of n bytes, folding in the base
 // power drawn over the transfer's elapsed time (the simulator charges
 // base power against wall-clock; a static bound must fold it into the
-// per-transaction price).
+// per-transaction price). Products are rounded on their own
+// (float64(a*b)) so that no GOARCH fuses them into the sum.
 func (m Model) NVMReadJ(n int64) float64 {
-	return m.Dev.TransferEnergyOf(n, false) + m.Dev.BasePower*m.Dev.TransferTime(n, false)
+	return m.Dev.TransferEnergyOf(n, false) + float64(m.Dev.BasePower*m.Dev.TransferTime(n, false))
 }
 
 // NVMWriteJ prices one write transaction of n bytes, base power
 // included.
 func (m Model) NVMWriteJ(n int64) float64 {
-	return m.Dev.TransferEnergyOf(n, true) + m.Dev.BasePower*m.Dev.TransferTime(n, true)
+	return m.Dev.TransferEnergyOf(n, true) + float64(m.Dev.BasePower*m.Dev.TransferTime(n, true))
 }
 
 // OpCost prices one accelerator op: readBytes stream in, the
@@ -99,7 +100,7 @@ func (m Model) OpCost(macs, readBytes, writeBytes int64, overlapped bool) (t, e 
 		exposed = compT + writeT
 	}
 	t = d.OpOverheadTime + readT + exposed
-	e = d.BasePower*t + d.ComputeEnergy(macs) + d.TransferEnergyOf(readBytes, false)
+	e = float64(d.BasePower*t) + d.ComputeEnergy(macs) + d.TransferEnergyOf(readBytes, false)
 	if writeBytes > 0 {
 		e += d.TransferEnergyOf(writeBytes, true)
 	}
@@ -115,7 +116,7 @@ func (m Model) OpCost(macs, readBytes, writeBytes int64, overlapped bool) (t, e 
 func (m Model) RecoveryCost(idxBytes, refetchBytes int64) (t, e float64) {
 	d := &m.Dev
 	t = d.RebootTime + d.TransferTime(idxBytes, false) + d.TransferTime(refetchBytes, false)
-	e = d.RebootEnergy + d.BasePower*t + d.TransferEnergyOf(idxBytes, false) + d.TransferEnergyOf(refetchBytes, false)
+	e = d.RebootEnergy + float64(d.BasePower*t) + d.TransferEnergyOf(idxBytes, false) + d.TransferEnergyOf(refetchBytes, false)
 	return t, e
 }
 

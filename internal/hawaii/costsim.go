@@ -51,78 +51,15 @@ type Op struct {
 }
 
 // BuildSchedule expands a layer spec and mask into the ordered op list the
-// engine executes. The loop order is input-stationary — output-column
-// tiles outermost, then k-blocks, then block rows — the low-memory GEMM
-// ordering of [2]: the kk×tn input tile is fetched once per surviving
-// k-panel and reused across every block row, while each op streams in its
-// own weight block. BSR skips pruned blocks. Aggregated over the
-// schedule, the counters match tile.CountLayer exactly; tests enforce
-// this so the analytic criterion and the executed schedule can never
-// drift apart.
-//
-//iprune:hotpath
-//iprune:allow-budget host-side schedule construction; it plans power-cycle regions but never executes inside one
+// engine executes: one Op per step of the layer's tile.Ops cursor, in its
+// input-stationary order (output-column tiles, then k-blocks, then block
+// rows). BSR skips pruned blocks. The analytic counters of
+// tile.CountLayer fold the same cursor, so the criterion and the executed
+// schedule cannot drift apart.
 func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg tile.Config) []Op {
-	if mask != nil && (mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK) {
-		panic(fmt.Sprintf("hawaii: mask geometry does not match spec for %s", spec.Name))
-	}
-	eb := int64(cfg.ElemBytes)
-	brs := (spec.M + spec.TM - 1) / spec.TM
-	bcs := (spec.K + spec.TK - 1) / spec.TK
-	nTiles := (spec.N + spec.TN - 1) / spec.TN
-	keep := func(br, bc int) bool {
-		return mask == nil || mask.Keep[br*bcs+bc]
-	}
-	// seen[br] counts surviving k-blocks encountered per row strip within
-	// one output-column tile; lastSeen[br] is the total, used to attribute
-	// the continuous-mode OFM write to the op that completes the strip.
-	lastSeen := make([]int, brs)
-	for br := 0; br < brs; br++ {
-		for bc := 0; bc < bcs; bc++ {
-			if keep(br, bc) {
-				lastSeen[br]++
-			}
-		}
-	}
-	ops := make([]Op, 0, brs*bcs*nTiles)
-	seen := make([]int, brs)
-	for j := 0; j < nTiles; j++ {
-		tn := min(spec.TN, spec.N-j*spec.TN)
-		for br := range seen {
-			seen[br] = 0
-		}
-		for bc := 0; bc < bcs; bc++ {
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			inputCharged := false
-			for br := 0; br < brs; br++ {
-				if !keep(br, bc) {
-					continue
-				}
-				rm := min(spec.TM, spec.M-br*spec.TM)
-				op := Op{
-					Layer:      spec.Index,
-					MACs:       int64(rm) * int64(kk) * int64(tn),
-					Jobs:       int64(rm) * int64(tn),
-					WeightRead: int64(rm) * int64(kk) * eb,
-				}
-				op.RefetchBytes = op.WeightRead + int64(kk)*int64(tn)*eb + int64(rm)*int64(tn)*eb
-				if !inputCharged {
-					op.InputRead = int64(kk) * int64(tn) * eb
-					inputCharged = true
-				}
-				if mode == tile.Intermittent {
-					op.OutWrite = int64(rm) * int64(tn) * eb
-					op.IndWrite = int64(cfg.IndicatorBytes)
-				} else if seen[br] == lastSeen[br]-1 {
-					// Continuous mode: the completed OFM strip tile is
-					// written back once, attributed to the op finishing it.
-					op.OutWrite = int64(rm) * int64(tn) * eb
-				}
-				ops = append(ops, op) //iprune:allow-alloc appends into a slice preallocated to full schedule capacity
-				seen[br]++
-			}
-		}
-	}
+	it := tile.Ops(spec, mask)
+	ops := make([]Op, it.Len())
+	fillSchedule(ops, spec.Index, &it, mode, cfg)
 	return ops
 }
 
@@ -130,11 +67,37 @@ func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg
 // network's current masks.
 func ScheduleFromNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode, cfg tile.Config) []Op {
 	prunables := net.Prunables()
-	var ops []Op
+	its := make([]tile.OpIter, len(specs))
+	n := 0
 	for i := range specs {
-		ops = append(ops, BuildSchedule(&specs[i], prunables[i].Mask(), mode, cfg)...)
+		its[i] = tile.Ops(&specs[i], prunables[i].Mask())
+		n += its[i].Len()
+	}
+	ops := make([]Op, n)
+	n = 0
+	for i := range its {
+		n += fillSchedule(ops[n:], specs[i].Index, &its[i], mode, cfg)
 	}
 	return ops
+}
+
+// fillSchedule writes the cursor's ops, tagged with the layer index, into
+// ops and returns how many it wrote.
+//
+//iprune:hotpath
+//iprune:allow-budget host-side schedule construction; it plans power-cycle regions but never executes inside one
+func fillSchedule(ops []Op, layer int, it *tile.OpIter, mode tile.Mode, cfg tile.Config) int {
+	n := 0
+	for it.Next() {
+		b := it.Bytes(mode, cfg)
+		ops[n] = Op{
+			Layer: layer, MACs: it.MACs(), Jobs: it.Jobs(),
+			WeightRead: b.Weight, InputRead: b.Input,
+			OutWrite: b.Output, IndWrite: b.Indicator, RefetchBytes: b.Refetch,
+		}
+		n++
+	}
+	return n
 }
 
 // Breakdown attributes active time to activities (paper Figure 2).
@@ -225,9 +188,13 @@ func (cs *CostSim) opCost(op *Op, mode tile.Mode) (t, e float64, b Breakdown) {
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
 func (cs *CostSim) recoveryCost(op *Op) (t, e float64) {
-	idxBytes := int64(cs.Cfg.IndicatorBytes) + 2*2
-	return energy.Model{Dev: cs.Dev}.RecoveryCost(idxBytes, op.RefetchBytes)
+	return energy.Model{Dev: cs.Dev}.RecoveryCost(recoveryIndexBytes(cs.Cfg), op.RefetchBytes)
 }
+
+// recoveryIndexBytes is what recovery reads to find where to resume: the
+// progress indicator plus the two BSR index entries (row pointer and
+// column index, 2 bytes each) that relocate the interrupted op's block.
+func recoveryIndexBytes(cfg tile.Config) int64 { return int64(cfg.IndicatorBytes) + 2*2 }
 
 // ErrOpExceedsBuffer reports that a single op (or its recovery path)
 // draws more energy than one full buffer charge supplies, so the

@@ -18,9 +18,10 @@ import (
 // a handful of loop indices rather than one job counter.
 const taskIndicatorBytes = 16
 
-// BuildTaskSchedule lowers a layer into atomic tasks: one task covers a
-// whole (output-column tile × k-panel) group — every surviving block row
-// of one k-block, the unit the input-stationary loop naturally brackets.
+// BuildTaskSchedule lowers a layer into atomic tasks: one task adds up
+// the ops of one (output-column tile × k-panel) group of the tile.Ops
+// cursor — every surviving block row of one k-block, the unit the
+// input-stationary loop naturally brackets.
 // Within a task, outputs accumulate in VM; the task's outputs and loop
 // indices are written back only when it completes, so the write stream
 // cannot overlap the task's compute (SerialWrite). A failure inside a
@@ -29,44 +30,19 @@ const taskIndicatorBytes = 16
 // Each returned Op therefore *is* one task; the CostSim executes task
 // schedules unchanged.
 func BuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config) []Op {
-	if mask != nil && (mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK) {
-		panic("hawaii: mask geometry does not match spec for " + spec.Name)
-	}
-	eb := int64(cfg.ElemBytes)
-	brs := (spec.M + spec.TM - 1) / spec.TM
-	bcs := (spec.K + spec.TK - 1) / spec.TK
-	nTiles := (spec.N + spec.TN - 1) / spec.TN
-	keep := func(br, bc int) bool {
-		return mask == nil || mask.Keep[br*bcs+bc]
-	}
 	var tasks []Op
-	for j := 0; j < nTiles; j++ {
-		tn := min(spec.TN, spec.N-j*spec.TN)
-		for bc := 0; bc < bcs; bc++ {
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			var task Op
-			task.Layer = spec.Index
-			task.SerialWrite = true
-			rows := 0
-			for br := 0; br < brs; br++ {
-				if !keep(br, bc) {
-					continue
-				}
-				rm := min(spec.TM, spec.M-br*spec.TM)
-				rows += rm
-				task.MACs += int64(rm) * int64(kk) * int64(tn)
-				task.Jobs += int64(rm) * int64(tn)
-				task.WeightRead += int64(rm) * int64(kk) * eb
-			}
-			if rows == 0 {
-				continue // fully pruned k-panel: no task at all
-			}
-			task.InputRead = int64(kk) * int64(tn) * eb
-			task.OutWrite = int64(rows) * int64(tn) * eb
-			task.IndWrite = taskIndicatorBytes
-			task.RefetchBytes = task.WeightRead + task.InputRead + task.OutWrite
-			tasks = append(tasks, task)
+	for op := tile.Ops(spec, mask); op.Next(); {
+		b := op.Bytes(tile.Intermittent, cfg)
+		if op.FirstInPanel {
+			// A fully pruned k-panel issues no op and so gets no task.
+			tasks = append(tasks, Op{Layer: spec.Index, InputRead: b.Input, IndWrite: taskIndicatorBytes, SerialWrite: true})
 		}
+		task := &tasks[len(tasks)-1]
+		task.MACs += op.MACs()
+		task.Jobs += op.Jobs()
+		task.WeightRead += b.Weight
+		task.OutWrite += b.Output
+		task.RefetchBytes = task.WeightRead + task.InputRead + task.OutWrite
 	}
 	return tasks
 }

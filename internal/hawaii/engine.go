@@ -281,6 +281,7 @@ func (e *Engine) Infer(x *tensor.Tensor, inj FailureInjector) (*InferResult, err
 
 	e.clk = obs.EnergyClock{T: e.Trace, P: e.Price}
 	e.clk.Emit(obs.KindPowerOn, -1, -1, 0, 0, 0)
+	prunables := e.Net.Prunables()
 	pi := 0 // prunable index of the current stage (advances with stages)
 	resuming := false
 	for e.nvm.stage < len(e.Net.Layers) {
@@ -298,7 +299,7 @@ func (e *Engine) Infer(x *tensor.Tensor, inj FailureInjector) (*InferResult, err
 		var err error
 		var failed bool
 		if _, ok := layer.(nn.Prunable); ok {
-			failed, err = e.runPrunableStage(li, pi, inj, resuming, &stats)
+			failed, err = e.runPrunableStage(li, pi, prunables[pi].Mask(), inj, resuming, &stats)
 		} else {
 			failed, err = e.runCPUStage(li, inj, &stats)
 		}
@@ -426,13 +427,25 @@ func (e *Engine) runCPUStage(li int, inj FailureInjector, stats *ExecStats) (fai
 //
 //iprune:hotpath
 //iprune:allow-budget the op loop preserves job cursors after every accelerator op; op sizes are plan-dependent and CostSim checks each against the buffer (ErrOpExceedsBuffer)
-func (e *Engine) runPrunableStage(li, pi int, inj FailureInjector, resuming bool, stats *ExecStats) (failed bool, err error) {
+func (e *Engine) runPrunableStage(li, pi int, mask *nn.BlockMask, inj FailureInjector, resuming bool, stats *ExecStats) (failed bool, err error) {
 	spec := &e.Specs[pi]
 	lw := &e.Model.Layers[pi]
 	w := lw.Weights
 	outShift := e.outShifts[pi]
 	inAct := e.nvm.acts[li-1]
 	inShift := e.nvm.actShifts[li-1]
+
+	// The ops walk the network's current mask with the schedules' cursor.
+	// Op (br, bc) runs BSR slot RowPtr[br]+Seen, which must hold block
+	// column bc: a mask that no longer matches the deployed BSR is an
+	// error, not a different schedule.
+	if err := tile.CheckMask(spec, mask); err != nil {
+		return false, err
+	}
+	op := tile.Ops(spec, mask)
+	if op.Blocks() != w.NNZBlocks() {
+		return false, fmt.Errorf("hawaii: %s: mask keeps %d blocks, the deployed BSR holds %d", spec.Name, op.Blocks(), w.NNZBlocks())
+	}
 
 	// Input transformation (paper: "tile input data transformation"):
 	// materialize the K×N GEMM operand in NVM once per stage.
@@ -452,112 +465,66 @@ func (e *Engine) runPrunableStage(li, pi int, inj FailureInjector, resuming bool
 		resuming = false
 	}
 
-	brs := (spec.M + spec.TM - 1) / spec.TM
-	bcs := (spec.K + spec.TK - 1) / spec.TK
-	nTiles := (spec.N + spec.TN - 1) / spec.TN
 	bk := w.BM * w.BK
-
-	// VM-side lookup from block coordinates to BSR slot; rebuilt on every
-	// (re-)entry, so it needs no preservation.
-	slotOf := make([]int, brs*bcs)
-	for i := range slotOf {
-		slotOf[i] = -1
-	}
-	for br := 0; br < brs; br++ {
-		for s := int(w.RowPtr[br]); s < int(w.RowPtr[br+1]); s++ {
-			slotOf[br*bcs+int(w.ColIdx[s])] = s
-		}
-	}
-
-	// Enumerate ops in the same input-stationary (j, bc, br) order as
-	// BuildSchedule: one input tile serves every block row of a k-panel.
 	var ord int64
-	for j := 0; j < nTiles; j++ {
-		n0 := j * spec.TN
-		tn := min(spec.TN, spec.N-n0)
-		for bc := 0; bc < bcs; bc++ {
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			inputCharged := false
-			for br := 0; br < brs; br++ {
-				s := slotOf[br*bcs+bc]
-				if s < 0 {
-					continue // pruned block: BSR skips it entirely
-				}
-				seen := s - int(w.RowPtr[br])
-				if ord < e.nvm.opCounter {
-					ord++
-					if !inputCharged {
-						// The input tile was loaded before the failure;
-						// resuming mid-panel re-fetches it (counted with
-						// the re-executed op below, not here).
-						inputCharged = true
-					}
-					continue // already committed before the failure
-				}
-				r0 := br * spec.TM
-				rm := min(spec.TM, spec.M-r0)
-				reExec := false
-				if resuming {
-					// Only the interrupted op re-executes (HAWAII's
-					// recovery property); ops after it run for the first
-					// time. The re-fetch (weight block, input tile,
-					// preserved partials) rides on the event so the
-					// calibrated timeline can price recovery like the
-					// cost simulator's RefetchBytes.
-					stats.ReExecOps++
-					reExec = true
-					resuming = false
-					inputCharged = false // lost with VM; re-fetch
-					refetch := int64(2*rm*kk) + int64(2*kk*tn) + int64(2*rm*tn)
-					e.clk.Emit(obs.KindReExec, li, ord, 0, refetch, 0)
-				}
-				e.clk.Emit(obs.KindOpStart, li, ord, 0, 0, 0)
-				block := w.Blocks[s*bk : (s+1)*bk]
-				src := e.nvm.partial[(seen+1)%2]
-				dst := e.nvm.partial[seen%2]
-				opRead := int64(2 * rm * kk) // weight block
-				if !inputCharged {
-					opRead += int64(2 * kk * tn) // input tile
-					inputCharged = true
-				}
-				if reExec {
-					// Recovery re-reads the preserved partials; in steady
-					// state they live in the VM-resident panel (the NVM
-					// parity buffers below model the preserved copy).
-					opRead += int64(2 * rm * tn)
-				}
-				stats.OpReadBytes += opRead
-				accumulateBlock(dst, src, e.nvm.col, block,
-					seen == 0, r0, rm, n0, tn, bc*spec.TK, kk,
-					spec.N, w.BK, w.Shift, inShift, outShift)
-				opWrite := int64(2*rm*tn) + int64(e.Cfg.IndicatorBytes)
-				stats.OpWriteBytes += opWrite
-				if inj.Fail() {
-					// Failure after the data write but before the counter
-					// commit: the op will re-execute on resume, reading the
-					// untouched previous-parity buffer — idempotent.
-					return true, nil
-				}
-				e.commitOp(ord)
-				stats.Ops++
-				stats.Jobs += int64(rm * tn)
-				if e.clk.Enabled() {
-					// One emission covers the committed op and its
-					// preservation: the clock prices the op like the
-					// cost simulator (overlapped write) and renders the
-					// trailing preserve instant itself.
-					macs := int64(rm) * int64(kk) * int64(tn)
-					e.clk.Emit(obs.KindOpCommit, li, ord, macs, opRead, opWrite)
-				}
-				ord++
-			}
+	for op.Next() {
+		s := int(w.RowPtr[op.Row]) + op.Seen
+		if s >= int(w.RowPtr[op.Row+1]) || int(w.ColIdx[s]) != op.Col {
+			return false, fmt.Errorf("hawaii: %s: mask block (%d,%d) is not in the deployed BSR", spec.Name, op.Row, op.Col)
 		}
+		if ord < e.nvm.opCounter {
+			ord++
+			continue // already committed before the failure
+		}
+		b := op.Bytes(tile.Intermittent, e.Cfg)
+		opRead := b.Weight + b.Input
+		if resuming {
+			// Only the interrupted op re-executes (HAWAII's recovery
+			// property); ops after it run for the first time. It re-reads
+			// its weight block, the full input tile (lost with VM) and
+			// the preserved partials, which in steady state live in the
+			// VM-resident panel (the NVM parity buffers model the
+			// preserved copy). The re-fetch rides on the event so the
+			// calibrated timeline can price recovery like the cost
+			// simulator's RefetchBytes.
+			stats.ReExecOps++
+			resuming = false
+			opRead = b.Refetch
+			e.clk.Emit(obs.KindReExec, li, ord, 0, b.Refetch, 0)
+		}
+		e.clk.Emit(obs.KindOpStart, li, ord, 0, 0, 0)
+		block := w.Blocks[s*bk : (s+1)*bk]
+		src := e.nvm.partial[(op.Seen+1)%2]
+		dst := e.nvm.partial[op.Seen%2]
+		stats.OpReadBytes += opRead
+		accumulateBlock(dst, src, e.nvm.col, block,
+			op.Seen == 0, op.R0, op.RM, op.N0, op.TN, op.K0, op.KK,
+			spec.N, w.BK, w.Shift, inShift, outShift)
+		opWrite := b.Output + b.Indicator
+		stats.OpWriteBytes += opWrite
+		if inj.Fail() {
+			// Failure after the data write but before the counter
+			// commit: the op will re-execute on resume, reading the
+			// untouched previous-parity buffer — idempotent.
+			return true, nil
+		}
+		e.commitOp(ord)
+		stats.Ops++
+		stats.Jobs += op.Jobs()
+		if e.clk.Enabled() {
+			// One emission covers the committed op and its
+			// preservation: the clock prices the op like the cost
+			// simulator (overlapped write) and renders the trailing
+			// preserve instant itself.
+			e.clk.Emit(obs.KindOpCommit, li, ord, op.MACs(), opRead, opWrite)
+		}
+		ord++
 	}
 
 	// Finalize: gather each row strip from its last parity, add biases,
 	// commit the OFM as the stage's activation. Idempotent on re-entry.
 	out := make([]fixed.Q15, spec.M*spec.N)
-	for br := 0; br < brs; br++ {
+	for br := 0; br < w.BlockRows(); br++ {
 		r0 := br * spec.TM
 		rm := min(spec.TM, spec.M-r0)
 		kept := int(w.RowPtr[br+1] - w.RowPtr[br])

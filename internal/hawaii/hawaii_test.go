@@ -292,7 +292,7 @@ func engineSamples(rng *rand.Rand, n int) []nn.Sample {
 	return out
 }
 
-func newTestEngine(t *testing.T, seed int64, pruneEvery int) (*Engine, []nn.Sample) {
+func newTestEngine(t testing.TB, seed int64, pruneEvery int) (*Engine, []nn.Sample) {
 	t.Helper()
 	net, specs, cfg := buildNet(seed)
 	if pruneEvery > 0 {

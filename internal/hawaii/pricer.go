@@ -71,7 +71,7 @@ func (p *TracePricer) Price(kind obs.Kind, macs, read, write int64) (dt, e float
 	case obs.KindReExec:
 		// Recovery: reboot, progress-indicator + BSR index read, and
 		// the interrupted op's tile re-fetch (read carries the bytes).
-		return p.M.RecoveryCost(int64(p.Cfg.IndicatorBytes)+2*2, read)
+		return p.M.RecoveryCost(recoveryIndexBytes(p.Cfg), read)
 	case obs.KindCharge:
 		// Recharge dead-time: one full buffer at the harvest power.
 		if p.HarvestW <= 0 {

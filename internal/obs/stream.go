@@ -2,22 +2,29 @@ package obs
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"unicode/utf8"
 )
 
-// StreamTracer is the O(1)-event-memory counterpart of Recorder +
-// WriteChromeTrace: a Tracer that encodes each emitted event as one
-// Chrome trace-event JSON object straight into a buffered io.Writer and
-// retains nothing. A solar-day harvest simulation emits millions of
-// events; recording them first would hold the whole run in memory, so
-// the long-horizon CLI paths (`isim -trace`, `repro` artifacts) stream
-// instead. The byte output over a given event sequence is identical to
-// WriteChromeTrace over the same recorded slice (pinned by test), so
-// both sinks stay loadable by Perfetto / chrome://tracing and diffable
-// against each other.
+// Tracks (tids) of the rendered trace.
+const (
+	tidAccel  = 1 // accelerator ops, preservation, recovery
+	tidLayers = 2 // layer spans
+	tidPower  = 3 // power cycles, failures, charging
+)
+
+// StreamTracer is the Chrome trace-event encoder: a Tracer that encodes
+// each emitted event as one JSON object straight into a buffered
+// io.Writer and retains nothing. A solar-day harvest simulation emits
+// millions of events; recording them first would hold the whole run in
+// memory, so the long-horizon CLI paths (`isim -trace`, `repro`
+// artifacts) stream instead, and WriteChromeTrace replays a recorded
+// slice through it. Its bytes match what encoding/json renders for the
+// same events (pinned by test against the encoding/json encoder kept
+// there), so traces load in Perfetto / chrome://tracing.
 //
 // Lifecycle: NewStreamTracer writes nothing; the object header and the
 // per-process metadata are emitted lazily before the first event, and
@@ -46,7 +53,7 @@ type StreamTracer struct {
 }
 
 // NewStreamTracer returns a streaming tracer rendering into w. names
-// labels layer indices exactly as in WriteChromeTrace; it may be nil.
+// labels layer indices; it may be nil.
 func NewStreamTracer(w io.Writer, names []string) *StreamTracer {
 	return &StreamTracer{
 		w:     bufio.NewWriterSize(w, 32<<10),
@@ -108,6 +115,12 @@ func (t *StreamTracer) Emit(ev Event) {
 	if ev.Kind == KindLayerStart {
 		return // the LayerEnd event renders the whole span
 	}
+	// x-x is NaN, not 0, when any of the three is NaN or infinite:
+	// encoding/json has no encoding for those and neither has the trace.
+	if x := ev.Time + ev.Dur + ev.Energy; x-x != 0 {
+		t.err = fmt.Errorf("obs: %v event at %v (dur %v, energy %v) has no JSON encoding", ev.Kind, ev.Time, ev.Dur, ev.Energy)
+		return
+	}
 	t.ensureMeta()
 	b := t.buf[:0]
 	if t.n > 0 {
@@ -129,8 +142,8 @@ func (t *StreamTracer) Close() error {
 	}
 	t.closed = true
 	if !t.moved {
-		// Match WriteChromeTrace over an empty recording: the default
-		// section's track metadata appears even with no events.
+		// An empty recording still gets the default section's track
+		// metadata.
 		t.ensureMeta()
 	}
 	t.ensureHeader()
@@ -161,7 +174,7 @@ func (t *StreamTracer) ensureHeader() {
 }
 
 // ensureMeta writes the current section's metadata records: an optional
-// process_name plus the three thread tracks, mirroring WriteChromeTrace.
+// process_name plus the three thread tracks.
 func (t *StreamTracer) ensureMeta() {
 	if t.meta {
 		return
@@ -196,10 +209,9 @@ func (t *StreamTracer) writeMeta(kind string, tid int, name string) {
 	t.n++
 }
 
-// appendEvent encodes one event exactly as WriteChromeTrace renders it
-// through encoding/json: same fields, same order, same float and string
-// encodings. The two code paths are pinned byte-identical by test, so
-// edit them together.
+// appendEvent encodes one event exactly as encoding/json renders it from
+// the trace-event struct kept in the tests: same fields, same order, same
+// float and string encodings (pinned byte-identical by test).
 func (t *StreamTracer) appendEvent(b []byte, ev *Event) []byte {
 	const us = 1e6
 	kind := ev.Kind.String()
@@ -270,7 +282,7 @@ func (t *StreamTracer) appendEvent(b []byte, ev *Event) []byte {
 	return append(b, '}')
 }
 
-// appendCommon appends the fields shared by every event in chromeEvent
+// appendCommon appends the fields shared by every event in the format's
 // field order: name, cat, ph, ts, dur (omitted when zero), pid, tid and
 // s (omitted when empty). name == "" selects the layer-name table via
 // nameLayer instead.

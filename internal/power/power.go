@@ -35,9 +35,11 @@ func DefaultBuffer() Buffer {
 }
 
 // UsableEnergy returns the energy available per power cycle:
-// ½·C·(VOn²−VOff²).
+// ½·C·(VOn²−VOff²). Products that meet an addition are rounded on their
+// own (float64(a*b)) throughout the package, so that no GOARCH fuses
+// them and the simulation has the same bits everywhere.
 func (b Buffer) UsableEnergy() float64 {
-	return 0.5 * b.CapF * (b.VOn*b.VOn - b.VOff*b.VOff)
+	return 0.5 * b.CapF * (float64(b.VOn*b.VOn) - float64(b.VOff*b.VOff))
 }
 
 // Supply describes a harvest-power operating point.
@@ -141,7 +143,8 @@ func (s *Sim) drawCyclePower() float64 {
 		p = math.Max(s.trace.At(s.OnTime+s.OffTime), traceFloor)
 	}
 	if s.Supply.Jitter > 0 {
-		p *= 1 + s.Supply.Jitter*(2*s.rng.Float64()-1)
+		u := float64(s.rng.Float64())
+		p *= 1 + float64(s.Supply.Jitter*(float64(2*u)-1))
 	}
 	return p
 }
@@ -172,7 +175,7 @@ func (s *Sim) Consume(energy, dt float64) bool {
 	if s.Supply.Continuous {
 		return false
 	}
-	net := energy - s.cyclePow*dt
+	net := energy - float64(s.cyclePow*dt)
 	if net < 0 {
 		// Harvest exceeded draw: the converter tops the buffer back up
 		// (it cannot exceed the switch-on level).
@@ -308,7 +311,7 @@ func (tr *Trace) rechargeTime(t0, need float64) float64 {
 		}
 		pb := math.Max(tr.Powers[i], traceFloor)
 		dt := tr.Times[i] - t
-		if seg := 0.5 * (pa + pb) * dt; seg < need {
+		if seg := float64(0.5 * (pa + pb) * dt); seg < need {
 			need -= seg
 			t = tr.Times[i]
 			continue
@@ -318,7 +321,7 @@ func (tr *Trace) rechargeTime(t0, need float64) float64 {
 		// for slope → 0 and the discriminant is ≥ pb² > 0 because the
 		// whole segment holds at least need.
 		slope := (pb - pa) / dt
-		x := 2 * need / (pa + math.Sqrt(math.Max(pa*pa+2*slope*need, 0)))
+		x := 2 * need / (pa + math.Sqrt(math.Max(float64(pa*pa)+float64(2*slope*need), 0)))
 		return t + x - t0
 	}
 	// Past the last sample the profile holds its final value (same end
@@ -335,12 +338,12 @@ func SolarDay(peak, duration float64, clouds int, seed int64) Trace {
 	tr := Trace{}
 	dip := make([]float64, samples+1)
 	for c := 0; c < clouds; c++ {
-		center := rng.Float64() * float64(samples)
-		width := 2 + rng.Float64()*6
-		depth := 0.4 + rng.Float64()*0.5
+		center := float64(rng.Float64() * float64(samples))
+		width := 2 + float64(rng.Float64()*6)
+		depth := 0.4 + float64(rng.Float64()*0.5)
 		for i := 0; i <= samples; i++ {
 			d := (float64(i) - center) / width
-			dip[i] += depth * math.Exp(-0.5*d*d)
+			dip[i] += float64(depth * math.Exp(-0.5*d*d))
 		}
 	}
 	for i := 0; i <= samples; i++ {

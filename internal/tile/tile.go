@@ -200,15 +200,10 @@ func EnsureMasks(net *nn.Network, specs []LayerSpec) error {
 		return fmt.Errorf("tile: %d specs for %d prunable layers", len(specs), len(prunables))
 	}
 	for i, p := range prunables {
-		s := &specs[i]
-		m := p.Mask()
-		if m == nil {
-			p.InitBlocks(s.TM, s.TK)
-			continue
-		}
-		if m.Rows != s.M || m.Cols != s.K || m.BM != s.TM || m.BK != s.TK {
-			return fmt.Errorf("tile: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
-				m.Rows, m.Cols, m.BM, m.BK, s.M, s.K, s.TM, s.TK, s.Name)
+		if p.Mask() == nil {
+			p.InitBlocks(specs[i].TM, specs[i].TK)
+		} else if err := CheckMask(&specs[i], p.Mask()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -275,79 +270,35 @@ func (m Mode) String() string {
 }
 
 // CountLayer computes the cost counters for one layer under the given
-// mask (nil = unpruned) and execution mode.
+// mask (nil = unpruned) and execution mode: a fold over the layer's ops
+// (Ops), so the analytic criterion and the executed schedule cannot
+// drift apart.
 //
-// Derivation. The block grid over W is ceil(M/TM)×ceil(K/TK); kept block
-// b with rm rows and kk columns participates in ceil(N/TN) ops (one per
-// output-column tile), producing rm outputs per output column: its job
-// count is rm·N regardless of TN clipping, and its MAC count rm·kk·N.
-// The engine's loop order is input-stationary (output-column tile, then
-// k-block, then block row — the low-memory ordering of [2]): each kk×tn
-// input tile is fetched once per k-panel and reused across all block
-// rows, while every op fetches its own weight block. Partial sums
-// accumulate in the VM-resident output panel; in intermittent mode each
-// op's fresh outputs are additionally written straight to NVM
-// (preservation is write-only in steady state — partials are re-read
-// only during progress recovery). Because all kept blocks of a layer
-// share TM/TK/N, intra-layer weights contribute identically to the job
-// count while layers differ — the layer-wise criterion property of
-// Section III-C.
+// Closed form. Kept block b with rm rows and kk columns participates in
+// ceil(N/TN) ops (one per output-column tile), producing rm outputs per
+// output column: its job count is rm·N regardless of TN clipping, and
+// its MAC count rm·kk·N. Every op fetches its own weight block, each
+// surviving k-panel's input tile is fetched once per column tile, and in
+// intermittent mode each op's fresh outputs are additionally written
+// straight to NVM (preservation is write-only in steady state — partials
+// are re-read only during progress recovery). Because all kept blocks of
+// a layer share TM/TK/N, intra-layer weights contribute identically to
+// the job count while layers differ — the layer-wise criterion property
+// of Section III-C.
 //
 //iprune:hotpath
 //iprune:allow-budget analytic host-side characterization; loop bounds are layer geometry, not an on-device region
 func CountLayer(spec *LayerSpec, mask *nn.BlockMask, mode Mode, cfg Config) Counts {
-	if mask != nil {
-		if mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK {
-			panic(fmt.Sprintf("tile: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
-				mask.Rows, mask.Cols, mask.BM, mask.BK, spec.M, spec.K, spec.TM, spec.TK, spec.Name))
-		}
-	}
 	var c Counts
-	eb := int64(cfg.ElemBytes)
-	brs := ceilDiv(spec.M, spec.TM) // block rows
-	bcs := ceilDiv(spec.K, spec.TK) // block cols
-	nTiles := ceilDiv(spec.N, spec.TN)
-	for br := 0; br < brs; br++ {
-		rm := min(spec.TM, spec.M-br*spec.TM)
-		seen := 0
-		for bc := 0; bc < bcs; bc++ {
-			if mask != nil && !mask.Keep[br*bcs+bc] {
-				continue
-			}
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			c.Ops += int64(nTiles)
-			c.Jobs += int64(rm) * int64(spec.N)
-			c.MACs += int64(rm) * int64(kk) * int64(spec.N)
-			// Weight block fetched once per op (it stays in VM across the
-			// op's outputs but is re-fetched per output-column tile).
-			c.WeightRead += int64(nTiles) * int64(rm) * int64(kk) * eb
-			if mode == Intermittent {
-				c.OutputWrite += int64(rm) * int64(spec.N) * eb
-				c.IndicatorWrite += int64(nTiles) * int64(cfg.IndicatorBytes)
-			}
-			seen++
-		}
-		if mode == Continuous && seen > 0 {
-			// OFM row strip written once when its tiles complete.
-			c.OutputWrite += int64(rm) * int64(spec.N) * eb
-		}
-	}
-	// Input tiles are fetched once per surviving k-panel and reused
-	// across block rows (input-stationary ordering).
-	for bc := 0; bc < bcs; bc++ {
-		kept := mask == nil
-		if !kept {
-			for br := 0; br < brs; br++ {
-				if mask.Keep[br*bcs+bc] {
-					kept = true
-					break
-				}
-			}
-		}
-		if kept {
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			c.InputRead += int64(kk) * int64(spec.N) * eb
-		}
+	for op := Ops(spec, mask); op.Next(); {
+		b := op.Bytes(mode, cfg)
+		c.Ops++
+		c.Jobs += op.Jobs()
+		c.MACs += op.MACs()
+		c.WeightRead += b.Weight
+		c.InputRead += b.Input
+		c.OutputWrite += b.Output
+		c.IndicatorWrite += b.Indicator
 	}
 	return c
 }
@@ -430,7 +381,7 @@ func Diversity(jobs []int64) float64 {
 	var varsum float64
 	for _, j := range jobs {
 		d := float64(j) - mean
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	return math.Sqrt(varsum/float64(len(jobs))) / mean
 }

@@ -34,14 +34,15 @@ go test -count=1 ./internal/tensor
 # Every other GOARCH runs the portable kernels. Vet type-checks the
 # package's test files for arm64 as well, which the build does not
 # compile, so a test naming an amd64-only routine fails here. The build
-# listing keeps the compiler from fusing the kernels' multiply-adds
-# (arm64 would then compute other bits than amd64); it replays from the
-# build cache.
-echo "== tensor kernels (arm64)"
+# listing keeps the compiler from fusing the multiply-adds of the
+# kernels and of the cost model (tile, the simulators, the energy and
+# device tables): arm64 would then compute other bits than amd64. It
+# replays from the build cache.
+echo "== kernels and cost model (arm64)"
 GOARCH=arm64 go vet ./internal/tensor
-listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1)
+listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/tile ./internal/hawaii ./internal/power ./internal/energy ./internal/device 2>&1)
 if printf '%s\n' "$listing" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' >&2; then
-    echo "tensor: fused multiply-adds in the arm64 build (above)" >&2
+    echo "fused multiply-adds in the arm64 build (above)" >&2
     exit 1
 fi
 
@@ -55,12 +56,17 @@ echo "== parallel passes (race, 10x)"
 go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAdamWidthBitIdentical|TestAccuracyQ15WidthBitIdentical|TestLayerBuffersIsolateSamples|TestCloneSharesNoBuffer)$' ./internal/nn ./internal/quant
 
 # Fuzz smoke: bounded runs of the GEMM kernels against their bit-exact
-# reference and of the loader's function-body blanker against the
-# parser. Plain go test above already ran the seed corpora; a failing
-# input lands in the package's testdata/fuzz as a regression fixture.
+# reference, of the loader's function-body blanker against the parser,
+# and of the HAWAII⁺ engine under generated power-failure patterns
+# against an uninterrupted run. Plain go test above already ran the seed
+# corpora; a failing input lands in the package's testdata/fuzz as a
+# regression fixture. A dense failure pattern costs up to ~0.1 s per
+# engine run, so minimizing each new corpus entry (60 s by default) would
+# take the engine smoke's whole budget: it minimizes for 1 s at most.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzBlankBodies$' -fuzztime 10s ./internal/analysis
+go test -run '^$' -fuzz '^FuzzEngineFailures$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hawaii
 
 # Artifact directory shared by the SARIF and repro-smoke steps. CI sets
 # CHECK_ARTIFACT_DIR to a directory it uploads; local runs use a
