@@ -372,6 +372,26 @@ func BenchmarkGemmTB(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmTBHAR is HAR conv3's weight gradient, dW += dY·colᵀ
+// (OutC 48, N = 32 output positions, K = 20·9 = 180), the GemmTB shape
+// that dominates a HAR training epoch.
+func BenchmarkGemmTBHAR(b *testing.B) {
+	const outC, k, n = 48, 180, 32
+	rng := rand.New(rand.NewSource(1))
+	col, dy := make([]float32, k*n), make([]float32, outC*n)
+	for _, s := range [][]float32{col, dy} {
+		for i := range s {
+			s[i] = rng.Float32()*2 - 1
+		}
+	}
+	dw := make([]float32, outC*k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.GemmTB(dy, col, dw, outC, n, k, true)
+	}
+}
+
 // BenchmarkAccuracyQ15CKS is the evaluation in the fleet's
 // deployed-accuracy probe of a CKS node: the Q15-rounded network over 64
 // held-out samples. The model and the samples are built before the timer.

@@ -74,7 +74,7 @@ func Share(net *nn.Network, bits, iters int, seed int64) (*Result, error) {
 			}
 			c := nearest(centroids, v)
 			d := float64(v - centroids[c])
-			sse += d * d
+			sse += float64(d * d)
 			count++
 			w[i] = centroids[c]
 		}

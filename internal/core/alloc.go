@@ -110,7 +110,7 @@ func applySensitivity(layers []*layerState, sens []float64) {
 		mean += s
 	}
 	mean /= float64(len(sens))
-	floor := 0.25*mean + 1e-3
+	floor := float64(0.25*mean) + 1e-3
 	total := 0.0
 	floored := make([]float64, len(sens))
 	for i, s := range sens {
@@ -136,7 +136,7 @@ type allocProblem struct {
 func (ap *allocProblem) Energy(state []float64) float64 {
 	var remain, impact float64
 	for i, ls := range ap.layers {
-		remain += ls.score * (1 - state[i])
+		remain += float64(ls.score * (1 - state[i]))
 		// Hyperbolic accuracy penalty: removing a small share of a
 		// layer's RMS mass is cheap, removing most of it diverges, so
 		// sensitive layers resist near-total pruning regardless of how
@@ -144,7 +144,7 @@ func (ap *allocProblem) Energy(state []float64) float64 {
 		im := ls.impact(state[i])
 		impact += ls.sens * im / (1.05 - im)
 	}
-	return remain/ap.scoreSum + ap.lambda*impact
+	return remain/ap.scoreSum + float64(ap.lambda*impact)
 }
 
 func (ap *allocProblem) Neighbor(state, out []float64, rng *rand.Rand) {
@@ -223,7 +223,7 @@ func allocate(layers []*layerState, gamma, gammaCap, lambda float64, cfg search.
 			add := math.Min(share, room)
 			if add > 0 {
 				init[i] += add
-				remaining -= add * float64(ls.weights)
+				remaining -= float64(add * float64(ls.weights))
 				progressed = true
 			}
 		}

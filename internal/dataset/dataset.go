@@ -64,13 +64,16 @@ func Images(cfg Config, seed int64) *Dataset {
 		p := make([]float32, ch*hw*hw)
 		for c := 0; c < ch; c++ {
 			for w := 0; w < 3; w++ { // three sinusoid components per channel
-				fx := 1 + rng.Float64()*2.5
-				fy := 1 + rng.Float64()*2.5
-				ph := rng.Float64() * 2 * math.Pi
-				amp := 0.3 + rng.Float64()*0.4
+				fx := 1 + float64(rng.Float64()*2.5)
+				fy := 1 + float64(rng.Float64()*2.5)
+				// Rounded twice, so that an FMA target fuses neither the
+				// inlined Float64's scaling into the doubling nor the phase
+				// into the sine's argument below.
+				ph := float64(float64(rng.Float64()) * 2 * math.Pi) // rounded twice, as in Images
+				amp := 0.3 + float64(rng.Float64()*0.4)
 				for y := 0; y < hw; y++ {
 					for x := 0; x < hw; x++ {
-						v := amp * math.Sin(2*math.Pi*(fx*float64(x)/hw+fy*float64(y)/hw)+ph)
+						v := amp * math.Sin(float64(2*math.Pi*(float64(fx*float64(x)/hw)+float64(fy*float64(y)/hw)))+ph)
 						p[(c*hw+y)*hw+x] += float32(v)
 					}
 				}
@@ -85,13 +88,13 @@ func Images(cfg Config, seed int64) *Dataset {
 			cl := i % classes
 			x := tensor.New(ch, hw, hw)
 			dx, dy := rng.Intn(5)-2, rng.Intn(5)-2
-			gain := float32(0.8 + rng.Float64()*0.4)
+			gain := float32(0.8 + float64(rng.Float64()*0.4))
 			for c := 0; c < ch; c++ {
 				for y := 0; y < hw; y++ {
 					sy := clampInt(y+dy, 0, hw-1)
 					for xx := 0; xx < hw; xx++ {
 						sx := clampInt(xx+dx, 0, hw-1)
-						v := protos[cl][(c*hw+sy)*hw+sx]*gain +
+						v := float32(protos[cl][(c*hw+sy)*hw+sx]*gain) +
 							float32(rng.NormFloat64()*cfg.Noise)
 						x.Data[(c*hw+y)*hw+xx] = v
 					}
@@ -127,9 +130,9 @@ func HAR(cfg Config, seed int64) *Dataset {
 		specs[cl] = make([]axisSpec, axes)
 		for ax := range specs[cl] {
 			specs[cl][ax] = axisSpec{
-				f:    0.5 + rng.Float64()*6,
-				a:    0.2 + rng.Float64()*0.8,
-				bias: rng.Float64()*0.6 - 0.3,
+				f:    0.5 + float64(rng.Float64()*6),
+				a:    0.2 + float64(rng.Float64()*0.8),
+				bias: float64(rng.Float64()*0.6) - 0.3,
 			}
 		}
 	}
@@ -141,12 +144,12 @@ func HAR(cfg Config, seed int64) *Dataset {
 			x := tensor.New(axes, 1, steps)
 			for ax := 0; ax < axes; ax++ {
 				s := specs[cl][ax]
-				ph := rng.Float64() * 2 * math.Pi
-				fj := s.f * (1 + rng.NormFloat64()*0.05)
-				aj := s.a * (0.85 + rng.Float64()*0.3)
+				ph := float64(float64(rng.Float64()) * 2 * math.Pi)
+				fj := s.f * (1 + float64(rng.NormFloat64()*0.05))
+				aj := s.a * (0.85 + float64(rng.Float64()*0.3))
 				for t := 0; t < steps; t++ {
-					v := s.bias + aj*math.Sin(2*math.Pi*fj*float64(t)/steps+ph) +
-						rng.NormFloat64()*cfg.Noise
+					v := s.bias + float64(aj*math.Sin(float64(2*math.Pi*fj*float64(t)/steps)+ph)) +
+						float64(rng.NormFloat64()*cfg.Noise)
 					x.Data[ax*steps+t] = float32(v)
 				}
 			}
@@ -182,8 +185,8 @@ func Speech(cfg Config, seed int64) *Dataset {
 			tracks[cl][k] = track{
 				start: rng.Float64() * float64(coeffs-1),
 				end:   rng.Float64() * float64(coeffs-1),
-				width: 0.7 + rng.Float64()*1.3,
-				amp:   0.5 + rng.Float64()*0.5,
+				width: 0.7 + float64(rng.Float64()*1.3),
+				amp:   0.5 + float64(rng.Float64()*0.5),
 			}
 		}
 	}
@@ -193,12 +196,12 @@ func Speech(cfg Config, seed int64) *Dataset {
 		for i := range samples {
 			cl := i % classes
 			x := tensor.New(1, coeffs, frames)
-			warp := 0.9 + rng.Float64()*0.2
-			gain := 0.8 + rng.Float64()*0.4
+			warp := 0.9 + float64(rng.Float64()*0.2)
+			gain := 0.8 + float64(rng.Float64()*0.4)
 			for _, tr := range tracks[cl] {
 				for t := 0; t < frames; t++ {
 					pos := math.Min(float64(t)*warp/float64(frames-1), 1)
-					center := tr.start + (tr.end-tr.start)*pos
+					center := tr.start + float64((tr.end-tr.start)*pos)
 					for c := 0; c < coeffs; c++ {
 						dz := (float64(c) - center) / tr.width
 						v := tr.amp * gain * math.Exp(-0.5*dz*dz)

@@ -80,7 +80,7 @@ func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		plane := gradIn.Data[c*l.InH*l.InW:]
 		for oh := 0; oh < l.OutH; oh++ {
 			for ow := 0; ow < l.OutW; ow++ {
-				g := gradOut.Data[oi] * inv
+				g := float32(gradOut.Data[oi] * inv)
 				oi++
 				for kh := 0; kh < l.KH; kh++ {
 					base := (oh*l.SH + kh) * l.InW
@@ -149,8 +149,8 @@ func (a *Adam) Step(n *Network, batchSize int) {
 			}
 			for i := range p.Data {
 				g := p.Grad[i] * scale
-				m[i] = float32(a.Beta1)*m[i] + float32(1-a.Beta1)*g
-				v[i] = float32(a.Beta2)*v[i] + float32(1-a.Beta2)*g*g
+				m[i] = float32(float32(a.Beta1)*m[i]) + float32(float32(1-a.Beta1)*g)
+				v[i] = float32(float32(a.Beta2)*v[i]) + float32(float32(1-a.Beta2)*g*g)
 				mh := float64(m[i]) / bc1
 				vh := float64(v[i]) / bc2
 				p.Data[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Epsilon))

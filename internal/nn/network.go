@@ -235,7 +235,7 @@ func (s *SGD) Step(n *Network, batchSize int) {
 				s.vel[p] = v
 			}
 			for i := range p.Data {
-				v[i] = mom*v[i] - scale*p.Grad[i]
+				v[i] = float32(mom*v[i]) - float32(scale*p.Grad[i])
 				p.Data[i] += v[i]
 			}
 		}

@@ -149,7 +149,7 @@ func (m *BlockMask) BlockRMS(w []float32, b int) float64 {
 		row := w[r*m.Cols : r*m.Cols+m.Cols]
 		for c := c0; c < c1; c++ {
 			v := float64(row[c])
-			sum += v * v
+			sum += float64(v * v)
 			n++
 		}
 	}

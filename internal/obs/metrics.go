@@ -92,7 +92,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	rank := p * float64(h.N)
+	rank := float64(p * float64(h.N))
 	var cum float64
 	for i, cnt := range h.Counts {
 		prev := cum

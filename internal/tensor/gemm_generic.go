@@ -2,10 +2,7 @@
 
 package tensor
 
-// Without the SSE2 routines (other GOARCH, and -race builds, whose
-// detector cannot see the loads and stores assembly makes) the GEMM rows
-// run the portable Go kernels.
-
-func gemmRow(a []float32, stride, k int, b, crow []float32) { gemmRowGo(a, stride, k, b, crow) }
-
-func gemmTBRow(arow, b, crow []float32) { gemmTBRowGo(arow, b, crow) }
+// kernelPaths are the build's GEMM kernels: without the assembly
+// routines (other GOARCH, and -race builds, whose detector cannot see
+// the loads and stores assembly makes) only the portable Go kernels.
+var kernelPaths = []kernelPath{{name: "go", rows: gemmRowsGo, tb: gemmTBGo, ok: true}}

@@ -91,8 +91,9 @@ func (t *Tensor) flat(idx []int) int {
 // the row, each C element held in a register across its four additions,
 // so C is loaded and stored once per four products instead of once per
 // product. With n == 1 each row is a scalar dot product. On amd64 the
-// row is an SSE2 routine instead (gemm_amd64.s), which holds sixteen C
-// elements in registers across the whole row of A. The result is
+// row is an assembly routine instead (gemm_amd64.s), AVX where the CPU
+// has it and SSE2 otherwise, which holds a strip of 32 (AVX) or sixteen
+// (SSE2) C elements in registers across the whole row of A. The result is
 // bit-identical to the plain i-p-j loop on every path: every C element
 // still takes its products one at a time, in ascending p, each product
 // and each addition rounded to float32 (never fused), and a product whose
@@ -102,25 +103,50 @@ func (t *Tensor) flat(idx []int) int {
 //iprune:hotpath
 //iprune:allow-budget training-time float kernel; runs on the workstation and never inside a harvested power cycle
 func Gemm(a, b, c []float32, m, k, n int, accumulate bool) {
-	gemm(a, b, c, m, k, n, accumulate, gemmRow)
+	gemm(a, b, c, m, k, n, accumulate, kernels.rows)
 }
 
-// rowKernel adds a[p*stride]·B[p,:] to crow for p ascending from 0 to
-// k-1, skipping zero A entries, where B is k×len(crow): one C row of
-// Gemm (stride 1) or GemmTA (stride m). gemmRow is the fastest one the
-// build has, gemmRowGo the portable one.
-type rowKernel func(a []float32, stride, k int, b, crow []float32)
+// rowsKernel adds a[i*step+p*stride]·B[p,:] to row i of C for every
+// i < m, p ascending from 0 to k-1, skipping zero A entries, where B is
+// k×n and C is m×n: Gemm (step k, stride 1) and GemmTA (step 1,
+// stride m) after their checks. It calls its row routine directly, once
+// per row.
+type rowsKernel func(a []float32, step, stride, k int, b, c []float32, m, n int)
 
-func gemm(a, b, c []float32, m, k, n int, accumulate bool, row rowKernel) {
+// tbKernel adds A·Bᵀ to C, where A is m×k, B is n×k and C is m×n, each
+// C element adding one dot product summed from +0 in ascending p with no
+// zero skip: GemmTB after its checks.
+type tbKernel func(a, b, c []float32, m, k, n int)
+
+// kernelPath is one implementation of the GEMM kernels. ok says whether
+// the host can run it.
+type kernelPath struct {
+	name string
+	rows rowsKernel
+	tb   tbKernel
+	ok   bool
+}
+
+// kernels is the path Gemm, GemmTA and GemmTB run: the first of the
+// build's kernelPaths, fastest first, that the host can run. The Go
+// kernels come last and run everywhere.
+var kernels = func() kernelPath {
+	for _, p := range kernelPaths {
+		if p.ok {
+			return p
+		}
+	}
+	panic("tensor: no GEMM kernels for this host")
+}()
+
+func gemm(a, b, c []float32, m, k, n int, accumulate bool, rows rowsKernel) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: gemm buffer too small")
 	}
 	if !accumulate {
 		clear(c[:m*n])
 	}
-	for i := 0; i < m; i++ {
-		row(a[i*k:], 1, k, b, c[i*n:i*n+n])
-	}
+	rows(a, k, 1, k, b, c, m, n)
 }
 
 // GemmTA computes C = Aᵀ·B (+C if accumulate) where A is k×m (so Aᵀ is
@@ -128,22 +154,29 @@ func gemm(a, b, c []float32, m, k, n int, accumulate bool, row rowKernel) {
 // (Wᵀ·dY). Row i of C gathers column i of A; the order of additions, and
 // so every bit of the result, is Gemm's on the transposed A.
 func GemmTA(a, b, c []float32, m, k, n int, accumulate bool) {
-	gemmTA(a, b, c, m, k, n, accumulate, gemmRow)
+	gemmTA(a, b, c, m, k, n, accumulate, kernels.rows)
 }
 
-func gemmTA(a, b, c []float32, m, k, n int, accumulate bool, row rowKernel) {
+func gemmTA(a, b, c []float32, m, k, n int, accumulate bool, rows rowsKernel) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("tensor: gemmTA buffer too small")
 	}
 	if !accumulate {
 		clear(c[:m*n])
 	}
+	rows(a, 1, m, k, b, c, m, n)
+}
+
+// gemmRowsGo is the portable rowsKernel.
+func gemmRowsGo(a []float32, step, stride, k int, b, c []float32, m, n int) {
 	for i := 0; i < m; i++ {
-		row(a[i:], m, k, b, c[i*n:i*n+n])
+		gemmRowGo(a[i*step:], stride, k, b, c[i*n:i*n+n])
 	}
 }
 
-// gemmRowGo is the portable rowKernel, blocked as Gemm describes.
+// gemmRowGo adds a[p*stride]·B[p,:] to crow for p ascending from 0 to
+// k-1, skipping zero A entries, blocked as Gemm describes: one row of
+// gemmRowsGo.
 func gemmRowGo(a []float32, stride, k int, b, crow []float32) {
 	n := len(crow)
 	if n == 1 {
@@ -201,32 +234,33 @@ func axpy1(a float32, b, c []float32) {
 // GemmTB computes C = A·Bᵀ (+C if accumulate) where A is m×k, B is n×k,
 // C is m×n. Used by backprop for weight gradients (dY·colᵀ). Each C
 // element adds one dot product, summed from zero in ascending p with no
-// zero skip. Four outputs share each pass over the A row, with four
-// independent accumulators (on amd64 eight outputs share it, as the lanes
-// of two SSE2 registers), so every sum, and the result, is that of one
-// dot product at a time.
+// zero skip. The Go kernel shares each pass over the A row among four
+// outputs, with four independent accumulators; the assembly (amd64)
+// transposes B once per call into a k×n panel and runs Gemm's strips
+// over it, a strip of sums per pass over the A row. Either way every
+// sum, and the result, is that of one dot product at a time.
 func GemmTB(a, b, c []float32, m, k, n int, accumulate bool) {
-	gemmTB(a, b, c, m, k, n, accumulate, gemmTBRow)
+	gemmTB(a, b, c, m, k, n, accumulate, kernels.tb)
 }
 
-// tbKernel adds arow·B[j,:] to crow[j] for every j, where B is
-// len(crow)×len(arow): one C row of GemmTB. gemmTBRow is the fastest one
-// the build has, gemmTBRowGo the portable one.
-type tbKernel func(arow, b, crow []float32)
-
-func gemmTB(a, b, c []float32, m, k, n int, accumulate bool, row tbKernel) {
+func gemmTB(a, b, c []float32, m, k, n int, accumulate bool, tb tbKernel) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("tensor: gemmTB buffer too small")
 	}
 	if !accumulate {
 		clear(c[:m*n])
 	}
+	tb(a, b, c, m, k, n)
+}
+
+// gemmTBGo is the portable tbKernel.
+func gemmTBGo(a, b, c []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
-		row(a[i*k:i*k+k], b, c[i*n:i*n+n])
+		gemmTBRowGo(a[i*k:i*k+k], b, c[i*n:i*n+n])
 	}
 }
 
-// gemmTBRowGo is the portable tbKernel.
+// gemmTBRowGo is one row of gemmTBGo: crow[j] += arow·B[j,:].
 func gemmTBRowGo(arow, b, crow []float32) {
 	k, n := len(arow), len(crow)
 	j := 0

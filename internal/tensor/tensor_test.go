@@ -141,23 +141,63 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 
 // gemmKernel pairs a kernel with its reference and the lengths of its
 // A and B operands for an m×k by k×n product. got is the exported
-// kernel, which runs the build's fastest row kernels (SSE2 assembly on
-// amd64 without -race); portable is the same kernel on the Go row
-// kernels, which other GOARCH and -race builds run, so that every build
-// checks both paths.
+// kernel, which runs the path the host selected; on runs the same kernel
+// on a given path, so that every build checks each path it has (AVX,
+// SSE2 and Go on amd64 without -race; Go elsewhere).
 type gemmKernel struct {
-	name               string
-	got, portable, ref func(a, b, c []float32, m, k, n int, accumulate bool)
-	lens               func(m, k, n int) (la, lb int)
+	name     string
+	got, ref func(a, b, c []float32, m, k, n int, accumulate bool)
+	on       func(p kernelPath, a, b, c []float32, m, k, n int, accumulate bool)
+	lens     func(m, k, n int) (la, lb int)
 }
 
 var gemmKernels = []gemmKernel{
-	{"Gemm", Gemm, func(a, b, c []float32, m, k, n int, acc bool) { gemm(a, b, c, m, k, n, acc, gemmRowGo) },
-		refGemm, func(m, k, n int) (int, int) { return m * k, k * n }},
-	{"GemmTA", GemmTA, func(a, b, c []float32, m, k, n int, acc bool) { gemmTA(a, b, c, m, k, n, acc, gemmRowGo) },
-		refGemmTA, func(m, k, n int) (int, int) { return k * m, k * n }},
-	{"GemmTB", GemmTB, func(a, b, c []float32, m, k, n int, acc bool) { gemmTB(a, b, c, m, k, n, acc, gemmTBRowGo) },
-		refGemmTB, func(m, k, n int) (int, int) { return m * k, n * k }},
+	{"Gemm", Gemm, refGemm,
+		func(p kernelPath, a, b, c []float32, m, k, n int, acc bool) { gemm(a, b, c, m, k, n, acc, p.rows) },
+		func(m, k, n int) (int, int) { return m * k, k * n }},
+	{"GemmTA", GemmTA, refGemmTA,
+		func(p kernelPath, a, b, c []float32, m, k, n int, acc bool) { gemmTA(a, b, c, m, k, n, acc, p.rows) },
+		func(m, k, n int) (int, int) { return k * m, k * n }},
+	{"GemmTB", GemmTB, refGemmTB,
+		func(p kernelPath, a, b, c []float32, m, k, n int, acc bool) { gemmTB(a, b, c, m, k, n, acc, p.tb) },
+		func(m, k, n int) (int, int) { return m * k, n * k }},
+}
+
+// runnablePaths returns the kernel paths the host can run.
+func runnablePaths() []kernelPath {
+	var ps []kernelPath
+	for _, p := range kernelPaths {
+		if p.ok {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// TestGemmKernelPath names the path Gemm, GemmTA and GemmTB run on this
+// host and the paths the bit-exactness tests check (run it with -v to
+// see them), and pins the selection rule: the first path the host can
+// run, which the exported kernels then use.
+func TestGemmKernelPath(t *testing.T) {
+	var tested, skipped []string
+	for _, p := range kernelPaths {
+		if p.ok {
+			tested = append(tested, p.name)
+		} else {
+			skipped = append(skipped, p.name)
+		}
+	}
+	untested := "none"
+	if len(skipped) > 0 {
+		untested = strings.Join(skipped, ", ") + " (the host CPU lacks it)"
+	}
+	t.Logf("GEMM kernels: %s; bit-exactness tests run %s; skipped: %s", kernels.name, strings.Join(tested, ", "), untested)
+	if want := runnablePaths()[0].name; kernels.name != want {
+		t.Fatalf("selected %s, want %s, the first path the host can run", kernels.name, want)
+	}
+	if last := kernelPaths[len(kernelPaths)-1]; last.name != "go" || !last.ok {
+		t.Fatalf("last path is %s (ok=%v), want the portable go kernels", last.name, last.ok)
+	}
 }
 
 // gemmFill returns n operand values of the given kind: "dense" in
@@ -194,29 +234,23 @@ func gemmFill(rng *rand.Rand, kind string, n int) []float32 {
 	return s
 }
 
-// checkGemmBits runs kernel g, on both paths, and its reference on the
-// same operands and initial C, and fails on the first element whose bits
-// differ. The kernels see every operand start off floats into its
+// checkGemmBits runs kernel g on path p, and its reference, on the same
+// operands and initial C, and fails on the first element whose bits
+// differ. The kernel sees every operand start off floats into its
 // allocation, so vector loads and stores meet every alignment. Two NaNs
 // match whatever their bits: Go does not define which NaN an operation
 // on NaNs returns.
-func checkGemmBits(t *testing.T, g gemmKernel, a, b, c0 []float32, m, k, n int, accumulate bool, off int) {
+func checkGemmBits(t *testing.T, g gemmKernel, p kernelPath, a, b, c0 []float32, m, k, n int, accumulate bool, off int) {
 	t.Helper()
 	want := append([]float32(nil), c0...)
 	g.ref(a, b, want, m, k, n, accumulate)
-	a, b = shifted(a, off), shifted(b, off)
-	for _, path := range []struct {
-		name string
-		run  func(a, b, c []float32, m, k, n int, accumulate bool)
-	}{{g.name, g.got}, {g.name + "/go", g.portable}} {
-		got := shifted(c0, off)
-		path.run(a, b, got, m, k, n, accumulate)
-		for i := range want {
-			gb, wb := math.Float32bits(got[i]), math.Float32bits(want[i])
-			if gb != wb && !(got[i] != got[i] && want[i] != want[i]) {
-				t.Fatalf("%s m=%d k=%d n=%d accumulate=%v off=%d: element %d = %v (%#08x), reference %v (%#08x)",
-					path.name, m, k, n, accumulate, off, i, got[i], gb, want[i], wb)
-			}
+	got := shifted(c0, off)
+	g.on(p, shifted(a, off), shifted(b, off), got, m, k, n, accumulate)
+	for i := range want {
+		gb, wb := math.Float32bits(got[i]), math.Float32bits(want[i])
+		if gb != wb && !(got[i] != got[i] && want[i] != want[i]) {
+			t.Fatalf("%s/%s m=%d k=%d n=%d accumulate=%v off=%d: element %d = %v (%#08x), reference %v (%#08x)",
+				g.name, p.name, m, k, n, accumulate, off, i, got[i], gb, want[i], wb)
 		}
 	}
 }
@@ -226,21 +260,21 @@ func shifted(s []float32, off int) []float32 {
 	return append(make([]float32, off, off+len(s)), s...)[off:]
 }
 
-// The MatchesNaive tests compare each kernel, on both paths, with its
-// reference bit for bit over shapes that hit every code path: every n
-// from 1 to 40, so every tail after the assembly's strips of 16 and 4
-// columns (Gemm, GemmTA) and blocks of 8 and 4 outputs (GemmTB) and
-// after the Go kernels' blocks of four; k mod 4 of 0 to 3 (the Go
-// kernels' gather, GemmTB's tail after the transposed tiles); several
-// strides m for GemmTA; dense, zero-heavy and all-zero operands, signed
-// zeros, subnormals, ±Inf and NaN; accumulation into a C holding signed
-// zeros; and operands starting 0 to 3 floats into their allocations.
+// The MatchesNaive tests compare each kernel, on every path the host
+// has, with its reference bit for bit over shapes that hit every code
+// path: every n from 1 to 72, so every tail after the AVX routines'
+// 32-column strips and their masked strip, the SSE2 routines' strips of
+// 16 and 4 columns and the Go kernels' blocks of four; k mod 4 of 0 to
+// 3 (the Go kernels' gather); several strides m for GemmTA; dense,
+// zero-heavy and all-zero operands, signed zeros, subnormals, ±Inf and
+// NaN; accumulation into a C holding signed zeros; and operands starting
+// 0 to 3 floats into their allocations. A path the host cannot run is
+// skipped, with the reason.
 func TestGemmMatchesNaive(t *testing.T)   { checkKernelBitExact(t, gemmKernels[0], 1) }
 func TestGemmTAMatchesNaive(t *testing.T) { checkKernelBitExact(t, gemmKernels[1], 2) }
 func TestGemmTBMatchesNaive(t *testing.T) { checkKernelBitExact(t, gemmKernels[2], 3) }
 
 func checkKernelBitExact(t *testing.T, g gemmKernel, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
 	shapes := [][3]int{
 		{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {8, 8, 8},
 		{3, 4, 1}, {7, 9, 1}, {1, 13, 1}, // n = 1
@@ -248,9 +282,10 @@ func checkKernelBitExact(t *testing.T, g gemmKernel, seed int64) {
 		{9, 1, 17}, {1, 2, 3}, {5, 3, 4},
 		{32, 43, 40}, {12, 30, 43}, {16, 64, 10}, // conv-sized
 		{48, 180, 32}, {48, 32, 180}, {180, 48, 32}, // HAR conv3: forward, weight and input gradient
+		{12, 128, 27}, // HAR conv1 weight gradient
 	}
-	for n := 1; n <= 40; n++ {
-		shapes = append(shapes, [3]int{2, 1 + n%9, n}) // every n mod 16, n mod 8 and n mod 4
+	for n := 1; n <= 72; n++ {
+		shapes = append(shapes, [3]int{2, 1 + n%9, n}) // every n mod 32, 16, 8 and 4
 	}
 	for k := 1; k <= 12; k++ {
 		shapes = append(shapes, [3]int{2, k, 8 + k%5}) // every k mod 4
@@ -259,17 +294,25 @@ func checkKernelBitExact(t *testing.T, g gemmKernel, seed int64) {
 		shapes = append(shapes, [3]int{m, 6, 21}) // GemmTA strides
 	}
 	kinds := []string{"dense", "sparse", "signed", "special", "zero"}
-	for si, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		la, lb := g.lens(m, k, n)
-		for ai, ka := range kinds {
-			for bi, kb := range kinds[:4] {
-				a, b := gemmFill(rng, ka, la), gemmFill(rng, kb, lb)
-				for _, acc := range []bool{false, true} {
-					checkGemmBits(t, g, a, b, gemmFill(rng, "signed", m*n), m, k, n, acc, (si+ai+bi)%4)
+	for _, p := range kernelPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if !p.ok {
+				t.Skipf("CPUID and XGETBV report no %s support on this CPU and OS", p.name)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for si, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				la, lb := g.lens(m, k, n)
+				for ai, ka := range kinds {
+					for bi, kb := range kinds[:4] {
+						a, b := gemmFill(rng, ka, la), gemmFill(rng, kb, lb)
+						for _, acc := range []bool{false, true} {
+							checkGemmBits(t, g, p, a, b, gemmFill(rng, "signed", m*n), m, k, n, acc, (si+ai+bi)%4)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -312,8 +355,9 @@ func TestGemmBufferChecks(t *testing.T) {
 	}
 }
 
-// FuzzGemm checks every kernel, on both paths, against its reference bit
-// for bit on fuzzer-chosen shapes, operands and operand offsets. The
+// FuzzGemm checks every kernel, on every path the host has, against its
+// reference bit for bit on fuzzer-chosen shapes (n up to 72, past two
+// AVX strips and into every tail), operands and operand offsets. The
 // operands cycle through data read as little-endian float32 words, so
 // NaNs, infinities, subnormals and signed zeros all occur; plain go test
 // runs the seed corpus.
@@ -323,12 +367,13 @@ func FuzzGemm(f *testing.F) {
 	f.Add(uint8(4), uint8(7), uint8(6), false, []byte{0, 0, 128, 127, 0, 0, 192, 127, 1, 0, 0, 0, 0, 0, 0, 128, 0, 0, 64, 64})
 	f.Add(uint8(9), uint8(10), uint8(9), true, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 160, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 190})
 	f.Add(uint8(0x35), uint8(11), uint8(21), true, []byte{0, 0, 128, 255, 0, 0, 0, 0, 0, 0, 192, 127, 1, 0, 0, 0, 205, 204, 76, 190, 0, 0, 0, 128, 0, 0, 128, 127, 0, 0, 64, 64, 0, 0, 0, 0})
+	paths := runnablePaths()
 	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, accumulate bool, data []byte) {
 		words := len(data) / 4
 		if words == 0 {
 			return
 		}
-		m, k, n := int(m8%12)+1, int(k8%20)+1, int(n8%40)+1
+		m, k, n := int(m8%12)+1, int(k8%20)+1, int(n8%72)+1
 		off := int(m8>>4) % 4
 		next := 0
 		fill := func(s []float32) []float32 {
@@ -340,10 +385,48 @@ func FuzzGemm(f *testing.F) {
 		}
 		for _, g := range gemmKernels {
 			la, lb := g.lens(m, k, n)
-			a, b := fill(make([]float32, la)), fill(make([]float32, lb))
-			checkGemmBits(t, g, a, b, fill(make([]float32, m*n)), m, k, n, accumulate, off)
+			a, b, c := fill(make([]float32, la)), fill(make([]float32, lb)), fill(make([]float32, m*n))
+			for _, p := range paths {
+				checkGemmBits(t, g, p, a, b, c, m, k, n, accumulate, off)
+			}
 		}
 	})
+}
+
+// BenchmarkGemmPathsHAR runs the GEMMs of one HAR backprop sample on
+// each kernel path the host has: the forward products (Gemm), the input
+// gradients (GemmTA) and the weight gradients (GemmTB) of conv1, conv2
+// and conv3, whose (OutC, K, N) are (12, 27, 128), (20, 108, 64) and
+// (48, 180, 32).
+func BenchmarkGemmPathsHAR(b *testing.B) {
+	convs := [][3]int{{12, 27, 128}, {20, 108, 64}, {48, 180, 32}}
+	rng := rand.New(rand.NewSource(1))
+	type operands struct{ w, col, dy, c []float32 }
+	ops := make([]operands, len(convs))
+	for i, cv := range convs {
+		outC, k, n := cv[0], cv[1], cv[2]
+		ops[i] = operands{randSlice(rng, outC*k), randSlice(rng, k*n), randSlice(rng, outC*n), make([]float32, max(outC*n, k*n, outC*k))}
+	}
+	products := []struct {
+		name string
+		run  func(p kernelPath, o operands, outC, k, n int)
+	}{
+		{"forward", func(p kernelPath, o operands, outC, k, n int) { gemm(o.w, o.col, o.c, outC, k, n, false, p.rows) }},
+		{"inputgrad", func(p kernelPath, o operands, outC, k, n int) { gemmTA(o.w, o.dy, o.c, k, outC, n, false, p.rows) }},
+		{"weightgrad", func(p kernelPath, o operands, outC, k, n int) { gemmTB(o.dy, o.col, o.c, outC, n, k, true, p.tb) }},
+	}
+	for _, pr := range products {
+		for _, p := range runnablePaths() {
+			b.Run(pr.name+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for ci, cv := range convs {
+						pr.run(p, ops[ci], cv[0], cv[1], cv[2])
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestConvGeomDerive(t *testing.T) {

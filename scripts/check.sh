@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh is the repo's verify entrypoint: formatting, vet, build,
-# tests (with the race detector, and the assembly kernels without it)
-# and the project's own static analysis.
+# tests (with the race detector, and the SSE2 and AVX assembly kernels
+# without it) and the project's own static analysis.
 # Run from anywhere; it cds to the repo root first.
 set -eu
 
@@ -25,22 +25,29 @@ echo "== go test -race"
 go test -race ./...
 
 # The race detector cannot see memory accesses made from assembly, so
-# -race builds run the portable Go GEMM kernels, not the SSE2 routines
-# of internal/tensor/gemm_amd64.s. Run the tensor tests once without
-# -race, so that the assembly is checked against the reference loops.
+# -race builds run the portable Go GEMM kernels, not the SSE2 and AVX
+# routines of internal/tensor/gemm_amd64.s. Run the tensor tests once
+# without -race, so that every path the host has (AVX where CPUID
+# reports it, SSE2, Go) is checked against the reference loops. The
+# first line names the path the host selected and the paths the tests
+# ran, so the log shows whether the AVX comparisons ran or were skipped.
 echo "== tensor kernels (no race)"
+go test -count=1 -v -run '^TestGemmKernelPath$' ./internal/tensor | grep 'GEMM kernels:'
 go test -count=1 ./internal/tensor
 
 # Every other GOARCH runs the portable kernels. Vet type-checks the
 # package's test files for arm64 as well, which the build does not
 # compile, so a test naming an amd64-only routine fails here. The build
 # listing keeps the compiler from fusing the multiply-adds of the
-# kernels and of the cost model (tile, the simulators, the energy and
-# device tables): arm64 would then compute other bits than amd64. It
-# replays from the build cache.
-echo "== kernels and cost model (arm64)"
+# kernels, of the cost model (tile, the simulators, the energy and
+# device tables) and of the training stack (nn, the pruner's allocation
+# in core, the dataset generators, obs's histograms, compress): arm64
+# would then compute other bits than amd64. It replays from the build
+# cache.
+echo "== kernels, cost model and training stack (arm64)"
 GOARCH=arm64 go vet ./internal/tensor
-listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/tile ./internal/hawaii ./internal/power ./internal/energy ./internal/device 2>&1)
+listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/tile ./internal/hawaii ./internal/power ./internal/energy ./internal/device \
+    ./internal/nn ./internal/core ./internal/dataset ./internal/obs ./internal/compress 2>&1)
 if printf '%s\n' "$listing" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' >&2; then
     echo "fused multiply-adds in the arm64 build (above)" >&2
     exit 1
