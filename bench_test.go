@@ -406,6 +406,40 @@ func BenchmarkAccuracyQ15CKS(b *testing.B) {
 	}
 }
 
+// BenchmarkAccuracyQ15HAR is the fleet's deployed-accuracy probe of a
+// HAR node: the Q15-rounded network over 64 held-out samples at width
+// 1, as the probe runs inside the fleet's fan-out. The model and the
+// samples are built before the timer.
+func BenchmarkAccuracyQ15HAR(b *testing.B) {
+	cfg := dataset.HARConfig()
+	cfg.Train, cfg.Test = 1, 64
+	ds := dataset.HAR(cfg, 1)
+	net := quant.QuantizeWeights(models.HAR(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.Evaluate(net, ds.Test, 1, quant.PredictorQ15)
+	}
+}
+
+// BenchmarkForwardHAR is one float HAR forward pass over a quick-scale
+// test sample, the unit of every accuracy pass: three convolutions,
+// ReLUs and max-pools and the classifier. The network is warmed before
+// the timer, so the alloc gate holds its passes at zero.
+func BenchmarkForwardHAR(b *testing.B) {
+	ds, err := report.LoadData("HAR", report.Quick, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := models.HAR(1)
+	net.Forward(ds.Test[0].X)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Forward(ds.Test[i%len(ds.Test)].X)
+	}
+}
+
 // BenchmarkTrainEpochHAR is one quick-scale HAR fine-tune epoch, the
 // unit the pruner repeats after every pruning step: minibatch SGD over
 // the quick training split at the pruner's default batch. The batches

@@ -32,14 +32,14 @@ import (
 )
 
 // defaultHot matches the kernel/engine benchmarks whose per-op numbers
-// are stable enough to gate on: the float GEMM kernels and the Q15
-// deployed-accuracy probe and HAR fine-tune epoch built on them (whose
-// layer-owned buffers the alloc gate holds), the fixed-point kernels, the
-// HAWAII⁺ engine, the sparse formats, the cost simulator, the streaming
-// trace encoder, the telemetry hub's emit path and the worker pool's
-// ForEach (whose zero-alloc budgets the alloc gate enforces) and the
-// sharded power sweep (sequential and pooled widths).
-const defaultHot = `Gemm|Conv|Engine|BSR|CostSim|Schedule|StreamTracer|PowerSweep|HubEmit|ForEach|AccuracyQ15|TrainEpoch`
+// are stable enough to gate on: the float GEMM kernels and the float
+// forward pass, Q15 deployed-accuracy probe and HAR fine-tune epoch
+// built on them (whose layer-owned buffers the alloc gate holds), the
+// fixed-point kernels, the HAWAII⁺ engine, the sparse formats, the cost
+// simulator, the streaming trace encoder, the telemetry hub's emit path
+// and the worker pool's ForEach (whose zero-alloc budgets the alloc gate
+// enforces) and the sharded power sweep (sequential and pooled widths).
+const defaultHot = `Gemm|Conv|Forward|Engine|BSR|CostSim|Schedule|StreamTracer|PowerSweep|HubEmit|ForEach|AccuracyQ15|TrainEpoch`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

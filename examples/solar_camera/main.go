@@ -63,7 +63,7 @@ func main() {
 	day := iprune.SolarTrace(10e-3, 600, 4, 9)
 	for _, startFrac := range []float64{0.1, 0.3, 0.5, 0.8} {
 		// Shift the trace so the inference starts at this point of the day.
-		shift := startFrac * 600
+		shift := float64(startFrac * 600)
 		tr := iprune.Trace{}
 		for i := range day.Times {
 			if day.Times[i] >= shift {

@@ -164,13 +164,50 @@ func QuantizeSlice(src []float32) Tensor {
 // FakeQuantize rounds every value of data in place to the float32 that
 // QuantizeSlice(data).Dequantize() holds at its index: the nearest
 // Q1.15 value under the slice's shift, saturated, scaled back. It
-// allocates nothing.
+// allocates nothing, and only NaN and saturating values take a branch
+// of their own (see fakeQuantize).
 func FakeQuantize(data []float32) {
 	shift := shiftOf(data)
-	down, up := math.Ldexp(1, -shift), math.Ldexp(1, shift)
+	down, up := math.Ldexp(1, FracBits-shift), math.Ldexp(1, shift-FracBits)
 	for i, v := range data {
-		data[i] = quantizeScaled(v, down).scaled(up)
+		data[i] = fakeQuantize(v, down, up)
 	}
+}
+
+// fakeQuantize is one value of FakeQuantize: v times down = 2^(15-shift)
+// rounded half away from zero to Q1.15 and saturated, times up =
+// 2^(shift-15), as float32. It computes QuantizeSlice's rounding
+// without math.Round's branches on the value:
+//
+//   - x = float64(v)·down is exact, and equal to FromFloat's
+//     (float64(v)·2^-shift)·2^15: both products scale a 24-bit
+//     significand by a power of two far inside float64's range.
+//   - NaN converts to 0, x >= One to One and x <= MinVal to MinVal:
+//     Round(x) is then at least One or at most MinVal, which FromFloat
+//     saturates to the same values. Under the slice's shift every
+//     finite |x| < 2^15, so these branches are taken almost never.
+//   - Otherwise int32(x + Copysign(0.5, x)) is Round(x): x has at most
+//     24 significant bits and |x| < 2^15, so when |x| >= 2^-14 the sum
+//     needs at most 53 bits and is exact, and truncating it rounds half
+//     away from zero; a smaller |x| sums to within 2^-14 of ±0.5 and
+//     truncates to 0, as Round(x) is ±0. (In float32 the sum would not
+//     be exact: 0.49999997 + 0.5 rounds to 1.)
+//   - float64(q)·up is exact too, so the float32 conversion rounds the
+//     value that Dequantize's q/2^15·2^shift holds.
+//
+//iprune:allow-float quantization boundary: rounds trainer floats through Q1.15 under a tensor's shift
+func fakeQuantize(v float32, down, up float64) float32 {
+	x := float64(float64(v) * down) // rounded on its own, so no target fuses it into the addition below
+	if !(x > MinVal && x < One) {
+		var q float64 // NaN converts to 0
+		if x >= One {
+			q = One
+		} else if x <= MinVal {
+			q = MinVal
+		}
+		return float32(q * up)
+	}
+	return float32(float64(int32(x+math.Copysign(0.5, x))) * up)
 }
 
 // shiftOf is the shift rule of QuantizeSlice and FakeQuantize: the
@@ -178,18 +215,34 @@ func FakeQuantize(data []float32) {
 // float32 with biased exponent e >= 127 lies in [2^(e-127), 2^(e-126)),
 // so the shift is e-126 for the largest such exponent, else 0. The
 // exponent 0xFF (infinities and NaN) is left out, so the shift stays
-// finite and ±Inf saturate under it.
+// finite and ±Inf saturate under it. The loop has no branch on the
+// data: each maximum compiles to a conditional move, and four running
+// maxima keep consecutive moves from waiting on one another.
 func shiftOf(src []float32) int {
-	var maxExp uint32
-	for _, v := range src {
-		if e := math.Float32bits(v) >> 23 & 0xFF; e != 0xFF && e > maxExp {
-			maxExp = e
-		}
+	var m0, m1, m2, m3 uint32
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s := src[i : i+4 : i+4]
+		m0 = max(m0, expKey(s[0]))
+		m1 = max(m1, expKey(s[1]))
+		m2 = max(m2, expKey(s[2]))
+		m3 = max(m3, expKey(s[3]))
 	}
-	if maxExp < 127 {
+	for _, v := range src[i:] {
+		m0 = max(m0, expKey(v))
+	}
+	e1 := max(m0, m1, m2, m3) >> 24 // the largest finite exponent plus 1, or 0
+	if e1 < 128 {
 		return 0
 	}
-	return int(maxExp) - 126
+	return int(e1) - 127
+}
+
+// expKey is v's bits without the sign, shifted left by one, plus 1<<24:
+// its top byte is v's biased exponent plus 1 for a finite v, and 0 for
+// the exponent 0xFF, which the addition wraps round.
+func expKey(v float32) uint32 {
+	return math.Float32bits(v)<<1 + 1<<24
 }
 
 // quantizeScaled converts v·scale to Q1.15, scale being a tensor's

@@ -104,6 +104,7 @@ func (b *Branch) Forward(in *tensor.Tensor) *tensor.Tensor {
 // Backward implements Layer.
 func (b *Branch) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := reuse(&b.gradIn, b.inShape...)
+	clear(gradIn.Data)
 	if len(b.grads) != len(b.Paths) {
 		b.grads = make([]tensor.Tensor, len(b.Paths))
 	}

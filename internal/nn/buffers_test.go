@@ -79,8 +79,9 @@ func bitsEqual(a, b [][]float32) bool {
 // TestLayerBuffersIsolateSamples runs sample A and then sample B
 // through every layer kind and requires B's output, input gradient and
 // parameter gradients to equal, bit for bit, those of a fresh clone that
-// runs only B. A reused buffer that is not zeroed (ReLU and MaxPool2D
-// write only some elements of theirs) leaks A into B and fails it.
+// runs only B. A reused buffer that a layer adds into without clearing
+// it first (the input gradients of MaxPool2D, AvgPool2D, Branch and FC)
+// leaks A into B and fails it.
 func TestLayerBuffersIsolateSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range layerKinds(rng) {

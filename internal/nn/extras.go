@@ -74,6 +74,7 @@ func (l *AvgPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 // Backward implements Layer.
 func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := reuse(&l.gradIn, l.C, l.InH, l.InW)
+	clear(gradIn.Data)
 	inv := 1 / float32(l.KH*l.KW)
 	oi := 0
 	for c := 0; c < l.C; c++ {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -45,10 +46,10 @@ func (k Kind) String() string {
 // Layer is a single differentiable network stage operating on one sample.
 //
 // A layer owns the tensors it returns. Forward and Backward reuse one
-// output and one input-gradient tensor per layer, zeroed on reuse as a
-// fresh tensor.New would be, so a warmed pass allocates nothing. A
-// returned tensor therefore stays valid only until the layer's next
-// Forward or Backward call; a caller that keeps one longer copies it.
+// output and one input-gradient tensor per layer, so a warmed pass
+// allocates nothing. A returned tensor therefore stays valid only until
+// the layer's next Forward or Backward call; a caller that keeps one
+// longer copies it.
 // One layer serves one goroutine at a time: concurrent passes run on
 // separate clones.
 type Layer interface {
@@ -70,16 +71,16 @@ type Layer interface {
 	Clone() Layer
 }
 
-// reuse returns the layer-owned tensor *t, zeroed, if it has the given
-// shape, and otherwise stores a new zeroed tensor of that shape in *t
-// and returns it: tensor.New's result without its allocation on reuse.
+// reuse returns the layer-owned tensor *t if it has the given shape,
+// and otherwise stores a new zeroed tensor of that shape in *t and
+// returns it. A reused tensor keeps the values of its last use: a layer
+// that writes every element stores into it directly, and one that adds
+// into it clears it first.
 func reuse(t **tensor.Tensor, shape ...int) *tensor.Tensor {
 	if *t == nil || !slices.Equal((*t).Shape, shape) {
 		// New formats its shape into a panic message, which would move
 		// every caller's shape argument to the heap; pass it a copy.
 		*t = tensor.New(slices.Clone(shape)...)
-	} else {
-		(*t).Zero()
 	}
 	return *t
 }
@@ -168,7 +169,7 @@ func (l *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.col = l.col[:kn]
 	tensor.Im2col(g, in.Data, l.col)
 	out := reuse(&l.out, g.OutC, g.OutH, g.OutW)
-	tensor.Gemm(l.W.Data, l.col, out.Data, g.OutC, g.K(), g.N(), false)
+	tensor.Gemm(l.W.Data, l.col, out.Data, g.OutC, g.K(), g.N(), false) // clears out first
 	n := g.N()
 	for oc := 0; oc < g.OutC; oc++ {
 		b := l.B.Data[oc]
@@ -182,6 +183,23 @@ func (l *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(gradOut)
+	g := &l.Geom
+	n := g.N()
+	// dcol = Wᵀ · dY  (K×OutC · OutC×N) — GemmTA with A=W (OutC×K), B=dY.
+	kn := g.K() * n
+	if cap(l.dcol) < kn {
+		l.dcol = make([]float32, kn)
+	}
+	l.dcol = l.dcol[:kn]
+	tensor.GemmTA(l.W.Data, gradOut.Data, l.dcol, g.K(), g.OutC, n, false)
+	gradIn := reuse(&l.gradIn, g.InC, g.InH, g.InW)
+	tensor.Col2im(g, l.dcol, gradIn.Data) // clears gradIn first
+	return gradIn
+}
+
+// backwardParams implements paramBackwarder: Backward's dB and dW.
+func (l *Conv2D) backwardParams(gradOut *tensor.Tensor) {
 	g := &l.Geom
 	n := g.N()
 	// dB
@@ -195,16 +213,6 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	// dW = dY · colᵀ  (OutC×N · N×K) — GemmTB with A=dY (OutC×N), B=col (K×N).
 	tensor.GemmTB(gradOut.Data, l.col, l.W.Grad, g.OutC, n, g.K(), true)
-	// dcol = Wᵀ · dY  (K×OutC · OutC×N) — GemmTA with A=W (OutC×K), B=dY.
-	kn := g.K() * n
-	if cap(l.dcol) < kn {
-		l.dcol = make([]float32, kn)
-	}
-	l.dcol = l.dcol[:kn]
-	tensor.GemmTA(l.W.Data, gradOut.Data, l.dcol, g.K(), g.OutC, n, false)
-	gradIn := reuse(&l.gradIn, g.InC, g.InH, g.InW)
-	tensor.Col2im(g, l.dcol, gradIn.Data)
-	return gradIn
 }
 
 // Clone implements Layer.
@@ -270,7 +278,7 @@ func (l *FC) Forward(in *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: input %d, want %d", l.LayerName, in.Len(), l.In))
 	}
 	out := reuse(&l.out, l.Out)
-	tensor.Gemm(l.W.Data, in.Data, out.Data, l.Out, l.In, 1, false)
+	tensor.Gemm(l.W.Data, in.Data, out.Data, l.Out, l.In, 1, false) // clears out first
 	for i := range out.Data {
 		out.Data[i] += l.B.Data[i]
 	}
@@ -280,6 +288,26 @@ func (l *FC) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *FC) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(gradOut)
+	// dIn = Wᵀ · dY, one pass over W's rows: each dIn[i] adds W[o][i]·dY[o]
+	// for o ascending, skipping zero weights, in GemmTA's order and with
+	// its bits, without a row-routine call per input.
+	gradIn := reuse(&l.gradIn, l.In)
+	dx := gradIn.Data
+	clear(dx)
+	for o, g := range gradOut.Data {
+		row := l.W.Data[o*l.In:][:len(dx)]
+		for i, w := range row {
+			if w != 0 {
+				dx[i] += float32(w * g)
+			}
+		}
+	}
+	return gradIn
+}
+
+// backwardParams implements paramBackwarder: Backward's dB and dW.
+func (l *FC) backwardParams(gradOut *tensor.Tensor) {
 	for i, g := range gradOut.Data {
 		l.B.Grad[i] += g
 	}
@@ -295,9 +323,6 @@ func (l *FC) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			row[i] += float32(g * x)
 		}
 	}
-	gradIn := reuse(&l.gradIn, l.In)
-	tensor.GemmTA(l.W.Data, gradOut.Data, gradIn.Data, l.In, l.Out, 1, false)
-	return gradIn
 }
 
 // Clone implements Layer.
@@ -318,7 +343,7 @@ type MaxPool2D struct {
 	C, InH, InW    int
 	KH, KW, SH, SW int
 	OutH, OutW     int
-	argmax         []int
+	argmax         []int32
 	out, gradIn    *tensor.Tensor
 }
 
@@ -336,6 +361,9 @@ func NewMaxPool2DRect(name string, c, inH, inW, kh, kw, sh, sw int) *MaxPool2D {
 	if l.OutH <= 0 || l.OutW <= 0 {
 		panic(fmt.Sprintf("nn: %s: pool output empty", name))
 	}
+	if c*inH*inW > math.MaxInt32 {
+		panic(fmt.Sprintf("nn: %s: input of %d values overflows the int32 argmax", name, c*inH*inW))
+	}
 	return l
 }
 
@@ -348,43 +376,81 @@ func (l *MaxPool2D) Kind() Kind { return KindPool }
 // Params implements Layer.
 func (l *MaxPool2D) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output is the first largest value of
+// its window in row-major window order, compared with >: a NaN that
+// comes first wins, and a later NaN never does.
+//
+// The windows of a HAR pool hold two values, so a branch per comparison
+// would mispredict about half the time. Instead each output row takes
+// one pass per window offset: the first pass copies the offset's inputs
+// and their indices, and every later one selects, by a mask made from
+// the comparison, the inputs greater than the row's maxima. Every output
+// sees the comparisons of a window loop, in its order.
 func (l *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := reuse(&l.out, l.C, l.OutH, l.OutW)
 	if cap(l.argmax) < out.Len() {
-		l.argmax = make([]int, out.Len())
+		l.argmax = make([]int32, out.Len())
 	}
 	l.argmax = l.argmax[:out.Len()]
-	oi := 0
 	for c := 0; c < l.C; c++ {
-		plane := in.Data[c*l.InH*l.InW:]
 		for oh := 0; oh < l.OutH; oh++ {
-			for ow := 0; ow < l.OutW; ow++ {
-				best := float32(0)
-				bestIdx := -1
-				for kh := 0; kh < l.KH; kh++ {
-					ih := oh*l.SH + kh
-					for kw := 0; kw < l.KW; kw++ {
-						iw := ow*l.SW + kw
-						idx := ih*l.InW + iw
-						v := plane[idx]
-						if bestIdx < 0 || v > best {
-							best, bestIdx = v, idx
-						}
+			o := (c*l.OutH + oh) * l.OutW
+			row, arg := out.Data[o:o+l.OutW], l.argmax[o:o+l.OutW]
+			top := (c*l.InH + oh*l.SH) * l.InW // the row's first window input
+			poolFirst(row, arg, in.Data, top, l.SW)
+			for kh := 0; kh < l.KH; kh++ {
+				for kw := 0; kw < l.KW; kw++ {
+					if kh+kw > 0 {
+						poolMax(row, arg, in.Data, top+kh*l.InW+kw, l.SW)
 					}
 				}
-				out.Data[oi] = best
-				l.argmax[oi] = c*l.InH*l.InW + bestIdx
-				oi++
 			}
 		}
 	}
 	return out
 }
 
+// poolFirst stores in[idx] into row[j] and idx into arg[j], for idx =
+// start + j·stride: a pool row's first window offset.
+func poolFirst(row []float32, arg []int32, in []float32, start, stride int) {
+	arg = arg[:len(row)]
+	idx := start
+	for j := range row {
+		row[j], arg[j] = in[idx], int32(idx)
+		idx += stride
+	}
+}
+
+// poolMax replaces row[j] by in[idx] and arg[j] by idx where in[idx] >
+// row[j], for idx = start + j·stride: one later window offset of a pool
+// row. The replacement is a bit select under a mask of the comparison,
+// which compiles to SETcc rather than a jump.
+func poolMax(row []float32, arg []int32, in []float32, start, stride int) {
+	arg = arg[:len(row)]
+	idx := start
+	for j, best := range row {
+		v := in[idx]
+		m := -b2u(v > best)
+		b := math.Float32bits(best)
+		row[j] = math.Float32frombits(b ^ (b^math.Float32bits(v))&m)
+		arg[j] ^= (arg[j] ^ int32(idx)) & int32(m)
+		idx += stride
+	}
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into SETcc.
+func b2u(b bool) uint32 {
+	var u uint32
+	if b {
+		u = 1
+	}
+	return u
+}
+
 // Backward implements Layer.
 func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := reuse(&l.gradIn, l.C, l.InH, l.InW)
+	clear(gradIn.Data)
 	for i, g := range gradOut.Data {
 		gradIn.Data[l.argmax[i]] += g
 	}
@@ -458,10 +524,11 @@ func (l *GlobalAvgPool) Clone() Layer { return NewGlobalAvgPool(l.LayerName, l.C
 // ---------------------------------------------------------------------------
 // ReLU
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation. About half of the values it
+// sees are positive, so a branch on each sign would mispredict about
+// half the time: both passes select bits under a mask instead.
 type ReLU struct {
 	LayerName   string
-	mask        []bool
 	out, gradIn *tensor.Tensor
 }
 
@@ -477,31 +544,35 @@ func (l *ReLU) Kind() Kind { return KindAct }
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. It keeps the values v > 0, +Inf included,
+// and stores +0 for NaN, ±0 and negative values.
 func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := reuse(&l.out, in.Shape...)
-	if cap(l.mask) < in.Len() {
-		l.mask = make([]bool, in.Len())
-	}
-	l.mask = l.mask[:in.Len()]
+	dst := out.Data[:len(in.Data)]
 	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-			l.mask[i] = true
-		} else {
-			l.mask[i] = false
-		}
+		// v > 0 exactly when 1 <= bits <= 0x7F800000 (+Inf), that is when
+		// bits-1 (wrapping at 0) is below 0x7F800000: the 64-bit
+		// difference is negative, and its sign fills the mask.
+		b := math.Float32bits(v)
+		keep := uint32(int64(uint64(b-1)-0x7F800000) >> 63)
+		dst[i] = math.Float32frombits(b & keep)
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It passes each gradient where the layer's
+// last output is nonzero, which is where the input was > 0, and stores
+// +0 elsewhere. It reads that output, so a caller must not change the
+// output between Forward and Backward.
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := reuse(&l.gradIn, gradOut.Shape...)
+	out := l.out.Data[:len(gradOut.Data)]
+	dst := gradIn.Data[:len(gradOut.Data)]
 	for i, g := range gradOut.Data {
-		if l.mask[i] {
-			gradIn.Data[i] = g
-		}
+		// The output's bits are 0 or positive: negated, they fill the
+		// mask with their sign exactly when they are not 0.
+		keep := uint32(-int64(math.Float32bits(out[i])) >> 63)
+		dst[i] = math.Float32frombits(math.Float32bits(g) & keep)
 	}
 	return gradIn
 }

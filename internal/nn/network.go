@@ -70,8 +70,17 @@ func softmaxInto(probs []float64, logits []float32) []float64 {
 	return probs
 }
 
+// paramBackwarder is implemented by layers that can add their parameter
+// gradients for a sample without computing dL/dIn, which no layer needs
+// from the first one. Their Backward does the same additions.
+type paramBackwarder interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
 // LossBackward computes softmax cross-entropy loss against the label and
 // backpropagates, accumulating parameter gradients. Returns the loss.
+// The first layer computes only its parameter gradients when it can
+// (Conv2D, FC): the gradient of the network's input is never used.
 func (n *Network) LossBackward(in *tensor.Tensor, label int) float64 {
 	logits := n.Forward(in)
 	if len(n.probs) != len(logits.Data) {
@@ -84,8 +93,15 @@ func (n *Network) LossBackward(in *tensor.Tensor, label int) float64 {
 		g.Data[i] = float32(p)
 	}
 	g.Data[label] -= 1
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		g = n.Layers[i].Backward(g)
+	}
+	if len(n.Layers) > 0 {
+		if pb, ok := n.Layers[0].(paramBackwarder); ok {
+			pb.backwardParams(g)
+		} else {
+			n.Layers[0].Backward(g)
+		}
 	}
 	return loss
 }
@@ -318,7 +334,10 @@ func newGradSlots(n *Network, workers, batch int) *gradSlots {
 // run computes the loss and gradient of samples[i] for every i in
 // batch, adds the gradients into the network's parameters in batch
 // order and returns the losses in batch order. Each replica draws the
-// next unstarted sample until none is left.
+// next unstarted sample until none is left. The addition then splits
+// the parameter elements into one contiguous range per replica; each
+// range adds the slots in batch order, so every element takes the same
+// additions in the same order as one pass over the slots would.
 func (g *gradSlots) run(samples []Sample, batch []int) []float64 {
 	var next atomic.Int64
 	tasks := min(len(g.reps), len(batch))
@@ -333,15 +352,23 @@ func (g *gradSlots) run(samples []Sample, batch []int) []float64 {
 			g.losses[s] = g.reps[k].LossBackward(x.X, x.Label)
 		}
 	}) // a Background context never cancels
-	for s := range batch {
-		slot := g.slots[s*g.size : (s+1)*g.size]
+	ranges := len(g.reps)
+	_ = pool.Run(context.Background(), ranges, ranges, func(r int) {
+		lo, hi := r*g.size/ranges, (r+1)*g.size/ranges
+		off := 0 // the offset of p in a slot
 		for _, p := range g.dst {
-			for j, v := range slot[:len(p.Grad)] {
-				p.Grad[j] += v
+			a, b := max(lo, off), min(hi, off+len(p.Grad))
+			if a < b {
+				dst := p.Grad[a-off : b-off]
+				for s := range batch {
+					for j, v := range g.slots[s*g.size+a:][:len(dst)] {
+						dst[j] += v
+					}
+				}
 			}
-			slot = slot[len(p.Grad):]
+			off += len(p.Grad)
 		}
-	}
+	}) // a Background context never cancels
 	return g.losses[:len(batch)]
 }
 

@@ -168,6 +168,47 @@ func TestTrainEpochAdamWidthBitIdentical(t *testing.T) {
 	}
 }
 
+// refLossBackward is LossBackward running every layer's Backward, the
+// first layer's included, kept as the reference for the pass that
+// skips the network input's gradient.
+func refLossBackward(n *nn.Network, in *tensor.Tensor, label int) float64 {
+	logits := n.Forward(in)
+	probs := nn.Softmax(logits.Data)
+	loss := -math.Log(math.Max(probs[label], 1e-12))
+	g := tensor.New(len(logits.Data))
+	for i, p := range probs {
+		g.Data[i] = float32(p)
+	}
+	g.Data[label] -= 1
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		g = n.Layers[i].Backward(g)
+	}
+	return loss
+}
+
+// TestLossBackwardMatchesFullChain requires LossBackward's loss and
+// every parameter gradient, accumulated over several samples, to equal
+// bit for bit those of the chain that also computes the first layer's
+// input gradient. The width tests cannot see this: their sequential
+// reference calls LossBackward itself.
+func TestLossBackwardMatchesFullChain(t *testing.T) {
+	for _, c := range widthCases() {
+		if len(c.samples) == 0 {
+			continue
+		}
+		ref, got := c.net(), c.net()
+		ref.ZeroGrads()
+		got.ZeroGrads()
+		for _, s := range c.samples {
+			want := refLossBackward(ref, s.X, s.Label)
+			if have := got.LossBackward(s.X, s.Label); math.Float64bits(have) != math.Float64bits(want) {
+				t.Fatalf("%s: loss %v, want %v", c.name, have, want)
+			}
+		}
+		sameBits(t, c.name, ref, got)
+	}
+}
+
 // TestWarmPassesDoNotAllocate pins the allocations of a warmed HAR
 // Predict and LossBackward: every layer reuses its own buffers.
 func TestWarmPassesDoNotAllocate(t *testing.T) {

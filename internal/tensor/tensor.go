@@ -51,13 +51,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // At returns the element at the given multi-index (bounds-checked through
 // the flat index computation; primarily for tests and small paths).
 func (t *Tensor) At(idx ...int) float32 {

@@ -527,7 +527,7 @@ func ObserveEngine(net *Network, sup Supply, seed int64, tr Tracer, inj *FailEve
 	rng := rand.New(rand.NewSource(seed))
 	x := tensor.New(shape...)
 	for i := range x.Data {
-		x.Data[i] = float32(rng.Float64()*2 - 1)
+		x.Data[i] = float32(float64(rng.Float64())*2 - 1)
 	}
 	var fi hawaii.FailureInjector
 	if inj != nil {

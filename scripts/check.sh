@@ -38,16 +38,14 @@ go test -count=1 ./internal/tensor
 # Every other GOARCH runs the portable kernels. Vet type-checks the
 # package's test files for arm64 as well, which the build does not
 # compile, so a test naming an amd64-only routine fails here. The build
-# listing keeps the compiler from fusing the multiply-adds of the
-# kernels, of the cost model (tile, the simulators, the energy and
-# device tables) and of the training stack (nn, the pruner's allocation
-# in core, the dataset generators, obs's histograms, compress): arm64
+# listing of every package keeps the compiler from fusing a
+# multiply-add anywhere (the kernels, the cost model, the training
+# stack, the Q1.15 rounding, the commands and the examples): arm64
 # would then compute other bits than amd64. It replays from the build
 # cache.
-echo "== kernels, cost model and training stack (arm64)"
+echo "== no fused multiply-adds (arm64)"
 GOARCH=arm64 go vet ./internal/tensor
-listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/tile ./internal/hawaii ./internal/power ./internal/energy ./internal/device \
-    ./internal/nn ./internal/core ./internal/dataset ./internal/obs ./internal/compress 2>&1)
+listing=$(GOARCH=arm64 go build -gcflags=-S ./... 2>&1)
 if printf '%s\n' "$listing" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' >&2; then
     echo "fused multiply-adds in the arm64 build (above)" >&2
     exit 1
@@ -62,8 +60,9 @@ fi
 echo "== parallel passes (race, 10x)"
 go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAdamWidthBitIdentical|TestAccuracyQ15WidthBitIdentical|TestLayerBuffersIsolateSamples|TestCloneSharesNoBuffer)$' ./internal/nn ./internal/quant
 
-# Fuzz smoke: bounded runs of the GEMM kernels against their bit-exact
-# reference, of the loader's function-body blanker against the parser,
+# Fuzz smoke: bounded runs of the GEMM kernels, the Q1.15 fake
+# quantization and the max-pool layer against their bit-exact
+# references, of the loader's function-body blanker against the parser,
 # and of the HAWAII⁺ engine under generated power-failure patterns
 # against an uninterrupted run. Plain go test above already ran the seed
 # corpora; a failing input lands in the package's testdata/fuzz as a
@@ -72,6 +71,8 @@ go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAd
 # take the engine smoke's whole budget: it minimizes for 1 s at most.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzFakeQuantize$' -fuzztime 10s ./internal/fixed
+go test -run '^$' -fuzz '^FuzzMaxPool2D$' -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz '^FuzzBlankBodies$' -fuzztime 10s ./internal/analysis
 go test -run '^$' -fuzz '^FuzzEngineFailures$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hawaii
 
