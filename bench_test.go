@@ -11,7 +11,6 @@ package iprune_test
 import (
 	"math/rand"
 	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -277,43 +276,6 @@ func BenchmarkPowerSweep(b *testing.B) {
 			last = r.Latency
 		}
 	}
-}
-
-// BenchmarkPowerSweepParallel is the same sweep through the public
-// PowerSweep facade, sharded across the internal worker pool. Sub-bench
-// names carry the worker count so benchdiff tracks the scaling curve;
-// the monotone latency-vs-power assertion from BenchmarkPowerSweep
-// holds at every width (results are positionally deterministic).
-func BenchmarkPowerSweepParallel(b *testing.B) {
-	net := models.HAR(1)
-	sups := make([]iprune.Supply, 0, 5)
-	for _, p := range []string{"2mW", "4mW", "8mW", "16mW", "32mW"} {
-		sup, err := iprune.ParseSupply(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sups = append(sups, sup)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var last float64
-				for _, pt := range iprune.PowerSweep(net, sups, 1, workers) {
-					if pt.Err != nil {
-						b.Fatal(pt.Err)
-					}
-					if last != 0 && pt.Result.Latency >= last {
-						b.Fatal("latency must fall as harvest power rises")
-					}
-					last = pt.Result.Latency
-				}
-			}
-		})
-	}
-}
-
-func benchName(prefix string, n int) string {
-	return prefix + "=" + strconv.Itoa(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -686,8 +648,7 @@ func BenchmarkDisciplineComparison(b *testing.B) {
 
 // BenchmarkLintRepo is the `iprunelint ./...` rung: a cold loader
 // parses and type-checks this checkout and the standard-library
-// packages it imports, then every analyzer runs over it, as a run
-// without -cache does.
+// packages it imports, then every analyzer runs over it.
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l, err := analysis.NewLoader(".", "")

@@ -37,9 +37,8 @@ import (
 // built on them (whose layer-owned buffers the alloc gate holds), the
 // fixed-point kernels, the HAWAII⁺ engine, the sparse formats, the cost
 // simulator, the streaming trace encoder, the telemetry hub's emit path
-// and the worker pool's ForEach (whose zero-alloc budgets the alloc gate
-// enforces) and the sharded power sweep (sequential and pooled widths).
-const defaultHot = `Gemm|Conv|Forward|Engine|BSR|CostSim|Schedule|StreamTracer|PowerSweep|HubEmit|ForEach|AccuracyQ15|TrainEpoch`
+// (whose zero-alloc budget the alloc gate enforces) and the power sweep.
+const defaultHot = `Gemm|Conv|Forward|Engine|BSR|CostSim|Schedule|StreamTracer|PowerSweep|HubEmit|AccuracyQ15|TrainEpoch`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	iprunelint [-list] [-json] [-sarif] [-workers N] [-cache] [-cachestats] [-cachedir DIR] [-dir DIR] [packages]
+//	iprunelint [-list] [-json] [-sarif] [-dir DIR] [packages]
 //
 // Packages default to ./... relative to the module root, which is found
 // by walking up from -dir (default: the working directory). The
@@ -13,27 +13,12 @@
 // internal/analysis and in the "Static analysis & invariants" section
 // of README.md.
 //
-// With -cache, diagnostics are cached per package under -cachedir
-// (default <module root>/.iprunelint.cache), keyed by the hashes of the
-// package's sources, its module-internal dependency closure and the
-// module's interface-implementation closure; a warm run re-analyzes
-// only packages whose inputs changed and prints an accounting line
-// ("iprunelint: cache: N reused, M analyzed") to stderr.
-//
 // With -json, findings are emitted as a JSON array of
 // {file,line,col,analyzer,message} objects (file paths module-root
 // relative) so CI tooling can post-process them; an empty run prints
 // "[]". With -sarif, findings are emitted as a SARIF 2.1.0 log with one
 // rule per analyzer, suitable for GitHub code scanning upload; -json
 // and -sarif are mutually exclusive.
-//
-// With -cachestats (implies -cache), the accounting expands to hits,
-// misses and invalidations plus the re-analyzed package list.
-//
-// With -workers N, analysis fans out over the internal/pool worker pool
-// — one task per (package, analyzer) pair plus one per module-level
-// analyzer. Output is byte-identical to the sequential driver for any N
-// (-workers 0 means one worker per CPU; 1 is fully sequential).
 //
 // Exit status: 0 clean, 1 findings reported, 2 operational error
 // (unparseable source, type-check failure, bad invocation).
@@ -46,7 +31,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"iprune/internal/analysis"
 )
@@ -73,22 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	dir := fs.String("dir", "", "directory to resolve the module root from (default: working directory)")
-	useCache := fs.Bool("cache", false, "reuse cached diagnostics for packages whose inputs are unchanged")
-	cacheStats := fs.Bool("cachestats", false, "print cache hit/miss/invalidation accounting (implies -cache)")
-	cacheDir := fs.String("cachedir", "", "cache directory (default: <module root>/.iprunelint.cache)")
-	workers := fs.Int("workers", 1, "parallel analysis workers (0 = one per CPU, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
 	}
 	if *asJSON && *asSARIF {
 		fmt.Fprintln(stderr, "iprunelint: -json and -sarif are mutually exclusive")
 		return 2
-	}
-	if *cacheStats {
-		*useCache = true
 	}
 
 	if *list {
@@ -128,22 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var diags []analysis.Diagnostic
-	if *useCache {
-		cdir := *cacheDir
-		if cdir == "" {
-			cdir = filepath.Join(root, ".iprunelint.cache")
-		}
-		c := &analysis.Cache{Dir: cdir, Root: root}
-		diags = analysis.RunCachedParallel(analysis.All(), pkgs, loader.Directives(), c, loader.Packages(), *workers)
-		if *cacheStats {
-			c.Stats.Detail(stderr)
-		} else {
-			c.Stats.Summary(stderr)
-		}
-	} else {
-		diags = analysis.RunParallel(analysis.All(), pkgs, loader.Directives(), *workers)
-	}
+	diags := analysis.Run(analysis.All(), pkgs, loader.Directives())
 	diags = append(diags, loader.Directives().Problems...)
 	analysis.Sort(diags)
 	for i, d := range diags {

@@ -119,34 +119,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestCacheFlag(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"internal/fixed/fixed.go": "package fixed\n\nfunc Scale(x float64) float64 { return x * 1.5 }\n",
-		"internal/nn/nn.go":       "package nn\n\nfunc Fine(x int) int { return x }\n",
-	})
-	code, cold, coldErr := runLint(t, dir, "-cache", "-json", "./...")
-	if code != 1 {
-		t.Fatalf("cold cached run: exit %d, want 1\nstderr: %s", code, coldErr)
-	}
-	if !strings.Contains(coldErr, "cache: 0 reused, 2 analyzed") {
-		t.Errorf("cold run stderr missing cache accounting: %s", coldErr)
-	}
-	code, warm, warmErr := runLint(t, dir, "-cache", "-json", "./...")
-	if code != 1 {
-		t.Fatalf("warm cached run: exit %d, want 1\nstderr: %s", code, warmErr)
-	}
-	if !strings.Contains(warmErr, "cache: 2 reused, 0 analyzed") {
-		t.Errorf("warm run re-analyzed packages: %s", warmErr)
-	}
-	// The whole point: a warm run's findings are byte-identical.
-	if warm != cold {
-		t.Errorf("warm -json output differs from cold:\ncold: %s\nwarm: %s", cold, warm)
-	}
-	if _, err := os.Stat(filepath.Join(dir, ".iprunelint.cache")); err != nil {
-		t.Errorf("default cache directory not created: %v", err)
-	}
-}
-
 func TestListAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
@@ -162,82 +134,6 @@ func TestListAnalyzers(t *testing.T) {
 		if !strings.Contains(stdout.String(), dir) {
 			t.Errorf("-list missing directive %s:\n%s", dir, stdout.String())
 		}
-	}
-}
-
-// dirtyModule declares findings for several analyzers across multiple
-// packages — per-package and module-level, including the concflow pair —
-// so driver-equivalence tests exercise every task kind.
-func dirtyModule(t *testing.T) string {
-	return writeModule(t, map[string]string{
-		"internal/fixed/fixed.go": "package fixed\n\nfunc Scale(x float64) float64 { return x * 1.5 }\n",
-		"internal/nn/nn.go": `package nn
-
-import "sync"
-
-var muA, muB sync.Mutex
-
-func AB() { muA.Lock(); muB.Lock(); muB.Unlock(); muA.Unlock() }
-func BA() { muB.Lock(); muA.Lock(); muA.Unlock(); muB.Unlock() }
-
-func Leak() {
-	go func() {
-		for {
-		}
-	}()
-}
-`,
-		"internal/util/util.go": `package util
-
-import "os"
-
-func Touch(name string) {
-	os.Remove(name)
-}
-`,
-	})
-}
-
-// TestWorkersByteIdentical pins the tentpole driver contract: the
-// parallel driver's -json output is byte-for-byte the sequential
-// driver's, cached and uncached.
-func TestWorkersByteIdentical(t *testing.T) {
-	dir := dirtyModule(t)
-	code, seq, seqErr := runLint(t, dir, "-json", "./...")
-	if code != 1 {
-		t.Fatalf("sequential run: exit %d, want 1\nstderr: %s", code, seqErr)
-	}
-	if !strings.Contains(seq, "lockorder") || !strings.Contains(seq, "goleak") || !strings.Contains(seq, "floatpurity") {
-		t.Fatalf("dirty module did not exercise the expected analyzers:\n%s", seq)
-	}
-	for _, workers := range []string{"2", "8"} {
-		code, par, parErr := runLint(t, dir, "-workers", workers, "-json", "./...")
-		if code != 1 {
-			t.Fatalf("-workers %s run: exit %d, want 1\nstderr: %s", workers, code, parErr)
-		}
-		if par != seq {
-			t.Errorf("-workers %s output differs from sequential:\nseq: %s\npar: %s", workers, seq, par)
-		}
-	}
-
-	// Cached: a parallel cold run fills the cache, a parallel warm run
-	// hits everything and still matches the sequential output.
-	code, cold, coldErr := runLint(t, dir, "-workers", "8", "-cache", "-json", "./...")
-	if code != 1 {
-		t.Fatalf("parallel cold cached run: exit %d\nstderr: %s", code, coldErr)
-	}
-	if cold != seq {
-		t.Errorf("parallel cold cached output differs from sequential:\nseq: %s\ncold: %s", seq, cold)
-	}
-	code, warm, warmErr := runLint(t, dir, "-workers", "8", "-cachestats", "-json", "./...")
-	if code != 1 {
-		t.Fatalf("parallel warm cached run: exit %d\nstderr: %s", code, warmErr)
-	}
-	if warm != seq {
-		t.Errorf("parallel warm cached output differs from sequential:\nseq: %s\nwarm: %s", seq, warm)
-	}
-	if !strings.Contains(warmErr, "0 miss(es), 0 invalidation(s)") {
-		t.Errorf("parallel warm run was not fully cached: %s", warmErr)
 	}
 }
 
@@ -372,53 +268,5 @@ func TestJSONSARIFExclusive(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "mutually exclusive") {
 		t.Errorf("stderr: %s", stderr.String())
-	}
-}
-
-// TestCacheStatsFlag pins the expanded accounting: a cold run misses
-// everything, a warm run hits everything, and editing one package turns
-// exactly its entry into an invalidation.
-func TestCacheStatsFlag(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"internal/fixed/fixed.go": "package fixed\n\nfunc Scale(x float64) float64 { return x * 1.5 }\n",
-		"internal/nn/nn.go":       "package nn\n\nfunc Fine(x int) int { return x }\n",
-	})
-	code, _, cold := runLint(t, dir, "-cachestats", "./...")
-	if code != 1 {
-		t.Fatalf("cold run: exit %d, want 1\nstderr: %s", code, cold)
-	}
-	if !strings.Contains(cold, "cache: 0 hit(s), 2 miss(es), 0 invalidation(s)") {
-		t.Errorf("cold run accounting: %s", cold)
-	}
-	if !strings.Contains(cold, "reanalyzed: iprune/internal/fixed") ||
-		!strings.Contains(cold, "reanalyzed: iprune/internal/nn") {
-		t.Errorf("cold run missing reanalyzed packages: %s", cold)
-	}
-	code, _, warm := runLint(t, dir, "-cachestats", "./...")
-	if code != 1 {
-		t.Fatalf("warm run: exit %d, want 1\nstderr: %s", code, warm)
-	}
-	if !strings.Contains(warm, "cache: 2 hit(s), 0 miss(es), 0 invalidation(s)") {
-		t.Errorf("warm run accounting: %s", warm)
-	}
-	if strings.Contains(warm, "reanalyzed:") {
-		t.Errorf("warm run re-analyzed something: %s", warm)
-	}
-
-	// Editing one package invalidates its stored entry (stale key), while
-	// the untouched package still hits.
-	edited := "package fixed\n\nfunc Scale(x float64) float64 { return x * 2.5 }\n"
-	if err := os.WriteFile(filepath.Join(dir, "internal/fixed/fixed.go"), []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stale := runLint(t, dir, "-cachestats", "./...")
-	if code != 1 {
-		t.Fatalf("stale run: exit %d, want 1\nstderr: %s", code, stale)
-	}
-	if !strings.Contains(stale, "cache: 1 hit(s), 1 miss(es), 1 invalidation(s)") {
-		t.Errorf("stale run accounting: %s", stale)
-	}
-	if !strings.Contains(stale, "reanalyzed: iprune/internal/fixed") {
-		t.Errorf("stale run missing the edited package: %s", stale)
 	}
 }

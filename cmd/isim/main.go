@@ -9,7 +9,7 @@
 //	isim -in har-iprune.model -power 6mW -n 5
 //	isim -model HAR -power weak -trace run.json -metrics run.csv -v
 //	isim -model HAR -power weak -audit
-//	isim -model HAR -sweep 2mW,4mW,8mW,16mW,strong -workers 4
+//	isim -model HAR -sweep 2mW,4mW,8mW,16mW,strong
 //	isim -compare before.csv after.csv
 //
 // Flags:
@@ -32,11 +32,8 @@
 //	                the first inference
 //	-sweep LIST     simulate one inference per supply in the
 //	                comma-separated list (each entry a -power spelling)
-//	                and print one line per operating point; points run
-//	                concurrently when -workers > 1, with deterministic
-//	                output order
-//	-workers N      worker-pool width for -sweep (0 = one per CPU;
-//	                default 1, sequential)
+//	                and print one line per operating point, in list
+//	                order
 //	-audit          audit the first inference's measured per-region and
 //	                per-power-cycle energy against the static power-cycle
 //	                budget; exits non-zero on a violation
@@ -57,7 +54,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
 	"iprune"
@@ -73,7 +69,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write per-layer metrics CSV of the first inference")
 	histPath := flag.String("hist", "", "write latency/energy/utilization histograms CSV of the first inference")
 	sweep := flag.String("sweep", "", "comma-separated supplies to sweep (e.g. 2mW,4mW,8mW,strong); prints one line per point")
-	workers := flag.Int("workers", 1, "parallel workers for -sweep (0 = one per CPU)")
 	audit := flag.Bool("audit", false, "audit measured energy against the static power-cycle budget")
 	auditLint := flag.String("auditlint", "", "iprunelint -json report to cross-check in the audit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -104,7 +99,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		if err := runSweep(os.Stdout, net, *sweep, *seed, *workers); err != nil {
+		if err := runSweep(os.Stdout, net, *sweep, *seed); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -272,14 +267,11 @@ func main() {
 }
 
 // runSweep simulates one inference per supply in list (comma-separated
-// -power spellings), fanned out -workers wide over the internal worker
-// pool, and prints one line per operating point in input order. Points
-// that cannot complete (e.g. a supply too weak to charge one op) print
-// their error on the point's line instead of failing the whole sweep.
-func runSweep(w io.Writer, net *iprune.Network, list string, seed int64, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// -power spellings) and prints one line per operating point in input
+// order. Points that cannot complete (e.g. a supply too weak to charge
+// one op) print their error on the point's line instead of failing the
+// whole sweep.
+func runSweep(w io.Writer, net *iprune.Network, list string, seed int64) error {
 	var sups []iprune.Supply
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
@@ -303,10 +295,10 @@ func runSweep(w io.Writer, net *iprune.Network, list string, seed int64, workers
 		net.Name, st.SizeBytes/1024, st.MACs/1000, st.AccOutputs/1000); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "sweep: %d supplies, %d worker(s)\n", len(sups), workers); err != nil {
+	if _, err := fmt.Fprintf(w, "sweep: %d supplies\n", len(sups)); err != nil {
 		return err
 	}
-	for _, p := range iprune.PowerSweep(net, sups, seed, workers) {
+	for _, p := range iprune.PowerSweep(net, sups, seed) {
 		if p.Err != nil {
 			if _, err := fmt.Fprintf(w, "%-12s %8.3f mW  error: %v\n", p.Supply.Name, p.Supply.Power*1e3, p.Err); err != nil {
 				return err

@@ -145,21 +145,19 @@ type ModulePass struct {
 	allow  string
 	name   string
 	scope  func(string) bool
-	only   map[*Package]bool // when non-nil, keep reports only for these packages
 	passes map[*Package]*Pass
 }
 
 // Pass returns the reporting pass for one of the module's packages.
-// When the analyzer's Scope excludes the package — or a cache-driven
-// run restricts reporting to the re-analyzed packages (only) — reports
-// through the returned pass are dropped (summaries over excluded
-// packages still feed included findings).
+// When the analyzer's Scope excludes the package, reports through the
+// returned pass are dropped (summaries over excluded packages still
+// feed included findings).
 func (mp *ModulePass) Pass(pkg *Package) *Pass {
 	if p, ok := mp.passes[pkg]; ok {
 		return p
 	}
 	diags := mp.diags
-	if (mp.scope != nil && !mp.scope(pkg.Path)) || (mp.only != nil && !mp.only[pkg]) {
+	if mp.scope != nil && !mp.scope(pkg.Path) {
 		diags = &[]Diagnostic{} // discard
 	}
 	p := &Pass{
@@ -177,13 +175,56 @@ func (mp *ModulePass) Pass(pkg *Package) *Pass {
 
 // Run executes the analyzers over the packages and returns all findings
 // sorted by position. Per-package analyzers run on each package inside
-// their Scope; module-level analyzers run once over all packages.
-// Packages that failed to type-check are skipped (the loader already
-// surfaced their errors as diagnostics). Run is the one-worker case of
-// RunParallel (see parallel.go); both share one task/merge path, so
-// their output is identical by construction.
+// their Scope, package by package; then each module-level analyzer runs
+// once over all packages. Packages that failed to type-check are
+// skipped (the loader already surfaced their errors as diagnostics).
 func Run(analyzers []*Analyzer, pkgs []*Package, dirs *Directives) []Diagnostic {
-	return RunParallel(analyzers, pkgs, dirs, 1)
+	clean := cleanPkgs(pkgs)
+	var diags []Diagnostic
+	for _, pkg := range clean {
+		for _, a := range analyzers {
+			if a.Run != nil && (a.Scope == nil || a.Scope(pkg.Path)) {
+				diags = append(diags, runPkg(a, pkg, dirs)...)
+			}
+		}
+	}
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			diags = append(diags, runModule(a, clean, dirs, a.Scope)...)
+		}
+	}
+	Sort(diags)
+	return diags
+}
+
+// Cache is RunCached's accounting; Dir and Root are unused.
+type Cache struct {
+	Dir, Root string
+	Stats     CacheStats
+}
+
+// CacheStats counts the packages RunCached analyzed as Misses; Hits
+// stays 0.
+type CacheStats struct{ Hits, Misses int }
+
+// RunCached caches nothing and exists for perfbench's lint workload,
+// which calls it: it returns Run's diagnostics and adds the number of
+// packages it analyzed to c.Stats.Misses. all is unused.
+func RunCached(analyzers []*Analyzer, pkgs []*Package, dirs *Directives, c *Cache, all []*Package) []Diagnostic {
+	c.Stats.Misses += len(cleanPkgs(pkgs))
+	return Run(analyzers, pkgs, dirs)
+}
+
+// cleanPkgs filters out packages that failed to type-check (the loader
+// already surfaced their errors as diagnostics).
+func cleanPkgs(pkgs []*Package) []*Package {
+	clean := make([]*Package, 0, len(pkgs))
+	for _, pkg := range pkgs {
+		if len(pkg.Errs) == 0 {
+			clean = append(clean, pkg)
+		}
+	}
+	return clean
 }
 
 // RunOne runs a single analyzer over one package, ignoring its Scope.
@@ -192,19 +233,25 @@ func Run(analyzers []*Analyzer, pkgs []*Package, dirs *Directives) []Diagnostic 
 // run with that package as the whole module.
 func RunOne(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
 	if a.RunModule != nil {
-		var diags []Diagnostic
-		mp := &ModulePass{
-			Pkgs:   []*Package{pkg},
-			Dirs:   dirs,
-			diags:  &diags,
-			allow:  a.Allow,
-			name:   a.Name,
-			passes: map[*Package]*Pass{},
-		}
-		a.RunModule(mp)
-		return diags
+		return runModule(a, []*Package{pkg}, dirs, nil)
 	}
 	return runPkg(a, pkg, dirs)
+}
+
+// runModule runs a module-level analyzer once over pkgs, keeping the
+// reports on packages inside scope (nil keeps every report).
+func runModule(a *Analyzer, pkgs []*Package, dirs *Directives, scope func(string) bool) []Diagnostic {
+	var diags []Diagnostic
+	a.RunModule(&ModulePass{
+		Pkgs:   pkgs,
+		Dirs:   dirs,
+		diags:  &diags,
+		allow:  a.Allow,
+		name:   a.Name,
+		scope:  scope,
+		passes: map[*Package]*Pass{},
+	})
+	return diags
 }
 
 func runPkg(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
@@ -224,8 +271,7 @@ func runPkg(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
 
 // Sort orders diagnostics by file, line, column, analyzer, message. The
 // message tiebreaker makes the order total, so identical finding sets
-// serialize identically no matter how the producing tasks were
-// scheduled — the parallel driver's byte-identity rests on it.
+// serialize identically whatever order the analyzers produced them in.
 func Sort(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

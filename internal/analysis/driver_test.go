@@ -5,6 +5,7 @@ import (
 	"go/build"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -342,5 +343,30 @@ func TestMalformedConstraintRecorded(t *testing.T) {
 	_, pkgs := loadModule(t, dir)
 	if len(pkgs) != 1 || len(pkgs[0].Errs) == 0 {
 		t.Fatal("malformed build constraint not recorded in pkg.Errs")
+	}
+}
+
+// TestCacheUncachedEquivalence pins the RunCached shim: it returns
+// exactly Run's diagnostics and counts every analyzed package as a miss.
+func TestCacheUncachedEquivalence(t *testing.T) {
+	dir := writeModule(t, "iprune", map[string]string{
+		"internal/fixed/helper.go": "package fixed\n\nfunc Clamp(x int16) int16 { return x }\n",
+		"internal/tile/kernel.go": "package tile\n\nimport \"iprune/internal/fixed\"\n\n" +
+			"func Scale(x float64) float64 { return x * 1.5 }\n\n" +
+			"func Use(x int16) int16 { return fixed.Clamp(x) }\n",
+		"internal/nn/other.go": "package nn\n\n//iprune:allow-budget test kernel, cost not under test\n//iprune:hotpath\nfunc Hot(xs []int) []int {\n" +
+			"\tfor range xs {\n\t\txs = append(xs, 1)\n\t}\n\treturn xs\n}\n",
+	})
+	l, pkgs := loadModule(t, dir, "./...")
+	plain := Run(All(), pkgs, l.Directives())
+	if len(plain) == 0 {
+		t.Fatal("Run found nothing; the module should have findings")
+	}
+	c := &Cache{Dir: filepath.Join(dir, ".cache"), Root: dir}
+	if got := RunCached(All(), pkgs, l.Directives(), c, l.Packages()); !reflect.DeepEqual(plain, got) {
+		t.Fatalf("RunCached differs from Run:\nRun: %v\nRunCached: %v", plain, got)
+	}
+	if c.Stats != (CacheStats{Misses: len(pkgs)}) {
+		t.Errorf("stats %+v, want %d misses and no hits", c.Stats, len(pkgs))
 	}
 }

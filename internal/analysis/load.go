@@ -87,8 +87,7 @@ func moduleName(gomod string) (string, error) {
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Packages returns every package the loader has loaded — targets and
-// their module-internal dependencies — sorted by import path. The
-// diagnostics cache uses it to hash a target's dependency closure.
+// their module-internal dependencies — sorted by import path.
 func (l *Loader) Packages() []*Package {
 	var out []*Package
 	for _, p := range l.pkgs {

@@ -164,16 +164,16 @@ func ParseBudget(s string) (Budget, error) {
 		return Budget{}, fmt.Errorf("energy: budget %q needs a unit (nJ|uJ|mJ|J|ops)", s)
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+	j := v * scale // a positive v this small underflows to 0 J
+	if err != nil || !(j > 0) || math.IsInf(j, 0) {
 		return Budget{}, fmt.Errorf("energy: bad energy budget %q", s)
 	}
-	return Budget{Joules: v * scale}, nil
+	return Budget{Joules: j}, nil
 }
 
 // FormatJ renders an energy in the largest SI unit that keeps the
 // mantissa >= 1, with three significant digits — deterministic, so
-// analyzer diagnostics and cache entries stay byte-identical across
-// runs.
+// analyzer diagnostics stay byte-identical across runs.
 //
 //iprune:allow-float diagnostic formatting of joule quantities
 func FormatJ(j float64) string {

@@ -68,6 +68,7 @@ func TestParseBudget(t *testing.T) {
 		{"-3uJ", Budget{}, false}, // budgets are positive
 		{"0ops", Budget{}, false},
 		{"NaNJ", Budget{}, false},
+		{"5e-324nJ", Budget{}, false}, // underflows to 0 J
 		{"", Budget{}, false},
 	}
 	for _, c := range cases {
@@ -83,6 +84,22 @@ func TestParseBudget(t *testing.T) {
 			t.Errorf("ParseBudget(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParseBudget: any string parses to a budget with exactly one
+// dimension set (finite, positive joules or a positive op count), or to
+// an error; none panics.
+func FuzzParseBudget(f *testing.F) {
+	for _, in := range []string{"20000ops", " 5 ops", "104uJ", "1.5mJ", "250nJ", "2e-5J", "104", "-3uJ", "0ops", "NaNJ", "5e-324nJ", ""} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		b, err := ParseBudget(in)
+		joules := b.Joules > 0 && !math.IsInf(b.Joules, 0) && b.Ops == 0
+		if err == nil && !joules && !(b.Ops > 0 && b.Joules == 0) {
+			t.Fatalf("ParseBudget(%q) = %+v: want exactly one positive dimension", in, b)
+		}
+	})
 }
 
 func TestBudgetRoundTrip(t *testing.T) {

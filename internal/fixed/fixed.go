@@ -166,6 +166,11 @@ func QuantizeSlice(src []float32) Tensor {
 // Q1.15 value under the slice's shift, saturated, scaled back. It
 // allocates nothing, and only NaN and saturating values take a branch
 // of their own (see fakeQuantize).
+//
+// It is not idempotent. A value in (-2^shift, -2^shift + 2^(shift-16)]
+// rounds to MinVal, which stands for -2^shift, and a slice holding
+// -2^shift has shift+1: rounding [-(4 - 2^-14), 2^-13] gives [-4, 2^-13]
+// (shift 3), and rounding that again gives [-4, 2^-12].
 func FakeQuantize(data []float32) {
 	shift := shiftOf(data)
 	down, up := math.Ldexp(1, FracBits-shift), math.Ldexp(1, shift-FracBits)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -463,4 +464,31 @@ func TestFailingAssertionFlipsFailed(t *testing.T) {
 	if !strings.Contains(b.String(), "check FAIL") || !strings.Contains(b.String(), "FAIL (") {
 		t.Errorf("summary does not surface the failure:\n%s", b.String())
 	}
+}
+
+// FuzzParseScenario: any input parses to a scenario that validates, or
+// to an error; none panics.
+func FuzzParseScenario(f *testing.F) {
+	smoke, err := os.ReadFile("../../examples/fleet/smoke.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	unit, err := json.Marshal(testScenario())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range []string{string(smoke), string(unit), "", "{}", `{"name":"x","nodes":[{"id":"a","model":"HAR","supply":"5e-324mW"}]}`} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, err := Parse(strings.NewReader(in))
+		if (sc == nil) == (err == nil) {
+			t.Fatalf("Parse returned scenario %v and error %v", sc != nil, err)
+		}
+		if sc != nil {
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("Parse accepted a scenario that fails Validate: %v", err)
+			}
+		}
+	})
 }

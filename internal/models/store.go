@@ -3,6 +3,7 @@ package models
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 
 	"iprune/internal/nn"
@@ -65,8 +66,14 @@ func Load(path string) (*nn.Network, error) {
 		return nil, fmt.Errorf("models: load: %w", err)
 	}
 	defer f.Close() //iprune:allow-err read-only close; decode errors are surfaced below
+	return decode(f, path)
+}
+
+// decode rebuilds a network from a snapshot read from r; path names the
+// source in errors. A malformed snapshot is an error, never a panic.
+func decode(r io.Reader, path string) (*nn.Network, error) {
 	var snap snapshot
-	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("models: load %s: %w", path, err)
 	}
 	if snap.Version != snapshotVersion {
@@ -96,6 +103,9 @@ func Load(path string) (*nn.Network, error) {
 	for i, ms := range snap.Masks {
 		if ms.Keep == nil {
 			continue
+		}
+		if _, rows, cols := prunables[i].WeightMatrix(); ms.BM <= 0 || ms.BK <= 0 || ms.BM > rows || ms.BK > cols {
+			return nil, fmt.Errorf("models: %s: mask %d has %dx%d blocks for a %dx%d weight matrix", path, i, ms.BM, ms.BK, rows, cols)
 		}
 		prunables[i].InitBlocks(ms.BM, ms.BK)
 		m := prunables[i].Mask()

@@ -3,187 +3,139 @@ package pool
 import (
 	"context"
 	"errors"
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestForEachRunsAll(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	const n = 1000
-	var hits [n]atomic.Int32
-	if err := p.ForEach(context.Background(), n, func(i int) {
-		hits[i].Add(1)
-	}); err != nil {
-		t.Fatalf("ForEach: %v", err)
+// Run is inline and in index order at width 1 and runs every index
+// exactly once at any other width.
+func TestRun(t *testing.T) {
+	ctx := context.Background()
+	var order []int
+	if err := Run(ctx, 1, 5, func(i int) { order = append(order, i) }); err != nil || len(order) != 5 || order[4] != 4 {
+		t.Fatalf("width 1: order %v, err %v", order, err)
 	}
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d ran %d times, want 1", i, got)
+	for _, w := range []int{2, 3, 8} {
+		for _, n := range []int{0, 1, w - 1, w, w + 1, 100} {
+			checkEachOnce(t, w, n)
 		}
 	}
 }
 
+// checkEachOnce runs n tasks at width w and fails unless every index ran
+// exactly once.
+func checkEachOnce(t *testing.T, w, n int) {
+	t.Helper()
+	hits := make([]atomic.Int32, n)
+	if err := Run(context.Background(), w, n, func(i int) { hits[i].Add(1) }); err != nil {
+		t.Fatalf("width %d, n %d: %v", w, n, err)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("width %d, n %d: index %d ran %d times, want 1", w, n, i, got)
+		}
+	}
+}
+
+// The ForEach tests below keep their names from the pool's earlier
+// batch API; they check the same contracts on Run.
+
+func TestForEachRunsAll(t *testing.T) {
+	checkEachOnce(t, 4, 1000)
+}
+
 func TestForEachEmpty(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	if err := p.ForEach(context.Background(), 0, func(int) { t.Error("fn called for n=0") }); err != nil {
-		t.Fatalf("ForEach(0): %v", err)
+	for _, w := range []int{1, 2} {
+		if err := Run(context.Background(), w, 0, func(int) { t.Errorf("width %d: fn called for n=0", w) }); err != nil {
+			t.Fatalf("width %d: Run(0): %v", w, err)
+		}
 	}
 }
 
 func TestForEachFewerTasksThanWorkers(t *testing.T) {
-	p := New(8)
-	defer p.Close()
 	var ran atomic.Int32
-	if err := p.ForEach(context.Background(), 3, func(int) { ran.Add(1) }); err != nil {
-		t.Fatalf("ForEach: %v", err)
+	if err := Run(context.Background(), 8, 3, func(int) { ran.Add(1) }); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if ran.Load() != 3 {
 		t.Fatalf("ran %d tasks, want 3", ran.Load())
 	}
 }
 
-// Cancellation mid-batch abandons the remaining indices: every started
-// task finishes, ForEach returns ctx.Err(), and the pool stays usable.
-func TestCancellationMidBatch(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	const n = 100000
-	err := p.ForEach(ctx, n, func(i int) {
-		if ran.Add(1) == 10 {
-			cancel()
+// A task panic stops further draws and is re-raised on the caller, with
+// the task's panic value, once every started task has returned; the next
+// Run is unaffected.
+func TestPanicContainment(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range []int{1, 4} {
+		var started, finished atomic.Int32
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("width %d: recovered %v, want the task's panic value", w, r)
+				}
+				if s, f := started.Load(), finished.Load(); s != f {
+					t.Errorf("width %d: re-raised with %d of %d started tasks still running", w, s-f, s)
+				}
+			}()
+			_ = Run(ctx, w, 64, func(i int) {
+				started.Add(1)
+				defer finished.Add(1)
+				if i == 5 {
+					panic("boom")
+				}
+			})
+		}()
+		if got := started.Load(); w == 1 && got != 6 {
+			t.Errorf("width 1: %d tasks started, want 6 (indices 0-5)", got)
 		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForEach after cancel: %v, want context.Canceled", err)
+		checkEachOnce(t, w, 10)
 	}
-	if got := ran.Load(); got < 10 || got == n {
-		t.Fatalf("ran %d tasks; want ≥10 (reached the trigger) and <%d (abandoned the tail)", got, n)
-	}
-	// The pool must still work.
-	if err := p.ForEach(context.Background(), 5, func(int) {}); err != nil {
-		t.Fatalf("ForEach after cancellation: %v", err)
+}
+
+// Cancellation mid-run abandons the remaining indices: every started
+// task finishes and Run returns ctx.Err().
+func TestCancellationMidBatch(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int32
+		const n = 100000
+		err := Run(ctx, w, n, func(i int) {
+			if ran.Add(1) == 10 {
+				cancel()
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("width %d: Run after cancel: %v, want context.Canceled", w, err)
+		}
+		if got := ran.Load(); got < 10 || got == n {
+			t.Fatalf("width %d: ran %d tasks; want ≥10 (reached the trigger) and <%d (abandoned the tail)", w, got, n)
+		}
 	}
 }
 
 func TestPreCanceledContext(t *testing.T) {
-	p := New(2)
-	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := p.ForEach(ctx, 10, func(int) { t.Error("fn ran under pre-canceled ctx") })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForEach: %v, want context.Canceled", err)
-	}
-}
-
-// A panicking task is contained: ForEach reports the first panic as a
-// *PanicError with a stack, the process survives, the pool stays usable.
-func TestPanicContainment(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	err := p.ForEach(context.Background(), 100, func(i int) {
-		if i == 7 {
-			panic("boom 7")
+	for _, w := range []int{1, 4} {
+		err := Run(ctx, w, 10, func(int) { t.Errorf("width %d: task ran under a canceled ctx", w) })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("width %d: err %v, want context.Canceled", w, err)
 		}
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("ForEach: %v, want *PanicError", err)
-	}
-	if pe.Value != "boom 7" {
-		t.Fatalf("PanicError.Value = %v, want \"boom 7\"", pe.Value)
-	}
-	if !strings.Contains(string(pe.Stack), "pool") {
-		t.Fatalf("PanicError.Stack does not mention the pool:\n%s", pe.Stack)
-	}
-	if err := p.ForEach(context.Background(), 10, func(int) {}); err != nil {
-		t.Fatalf("ForEach after panic: %v", err)
 	}
 }
 
-func TestCloseIdempotentAndJoins(t *testing.T) {
-	p := New(3)
-	done := make(chan struct{})
-	go func() {
-		p.Close()
-		p.Close() // second close must be a no-op, not a panic
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return")
-	}
-	if err := p.ForEach(context.Background(), 1, func(int) {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ForEach after Close: %v, want ErrClosed", err)
-	}
-}
-
-func TestNewClampsWorkers(t *testing.T) {
-	p := New(0)
-	defer p.Close()
-	if p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers() = %d, want GOMAXPROCS %d", p.Workers(), runtime.GOMAXPROCS(0))
-	}
-}
-
-// Steady-state ForEach calls must not allocate: the batch descriptor is
-// reused and indices are drawn atomically, so a sweep calling ForEach
-// per power point adds zero GC pressure.
-func TestForEachZeroAllocSteadyState(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	var sink atomic.Int64
-	fn := func(i int) { sink.Add(int64(i)) }
-	ctx := context.Background()
-	// Warm up (first call may fault in lazily initialized runtime state).
-	if err := p.ForEach(ctx, 64, fn); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.ForEach(ctx, 64, fn); err != nil {
-			t.Fatalf("ForEach: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("ForEach allocates %v per call in steady state, want 0", allocs)
-	}
-}
-
-// Stress under -race: concurrent ForEach callers (serialized internally),
-// interleaved cancellations and panics, then Close racing a final batch.
+// Stress under -race: concurrent Run callers with interleaved
+// cancellations and panics.
 func TestStressConcurrent(t *testing.T) {
-	p := New(4)
 	const callers = 8
 	done := make(chan error, callers)
 	for c := 0; c < callers; c++ {
 		go func(c int) {
 			var err error
-			for iter := 0; iter < 50; iter++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				var ran atomic.Int32
-				e := p.ForEach(ctx, 200, func(i int) {
-					n := ran.Add(1)
-					if c%3 == 0 && n == 50 {
-						cancel()
-					}
-					if c%3 == 1 && i == 199 {
-						panic("stress panic")
-					}
-				})
-				cancel()
-				var pe *PanicError
-				if e != nil && !errors.Is(e, context.Canceled) && !errors.As(e, &pe) {
-					err = e
-					break
-				}
+			for iter := 0; iter < 50 && err == nil; iter++ {
+				err = stressOnce(c)
 			}
 			done <- err
 		}(c)
@@ -193,58 +145,33 @@ func TestStressConcurrent(t *testing.T) {
 			t.Fatalf("stress caller: %v", err)
 		}
 	}
-	p.Close()
 }
 
-func BenchmarkForEach(b *testing.B) {
-	p := New(0)
-	defer p.Close()
-	var sink atomic.Int64
-	fn := func(i int) { sink.Add(int64(i)) }
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.ForEach(ctx, 256, fn); err != nil {
-			b.Fatal(err)
+// stressOnce is one Run of caller c at width 4: callers 0, 3, 6 cancel
+// after 50 tasks, callers 1, 4, 7 panic at the last index.
+func stressOnce(c int) (err error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer func() {
+		if r := recover(); r != nil && (c%3 != 1 || r != "stress panic") {
+			err = errors.New("unexpected panic")
 		}
-	}
-}
-
-// Run is inline and in index order at width 1, fans out otherwise,
-// re-raises a task panic on the caller and returns ctx.Err().
-func TestRun(t *testing.T) {
-	ctx := context.Background()
-	var order []int
-	if err := Run(ctx, 1, 5, func(i int) { order = append(order, i) }); err != nil || len(order) != 5 || order[4] != 4 {
-		t.Fatalf("width 1: order %v, err %v", order, err)
-	}
-	var hits [100]atomic.Int32
-	if err := Run(ctx, 3, len(hits), func(i int) { hits[i].Add(1) }); err != nil {
-		t.Fatalf("width 3: %v", err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("width 3: index %d ran %d times", i, hits[i].Load())
+	}()
+	var ran atomic.Int32
+	e := Run(ctx, 4, 200, func(i int) {
+		n := ran.Add(1)
+		if c%3 == 0 && n == 50 {
+			cancel()
 		}
-	}
-	for _, w := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Errorf("width %d: recovered %v, want the task's panic value", w, r)
-				}
-			}()
-			_ = Run(ctx, w, 8, func(i int) {
-				if i == 5 {
-					panic("boom")
-				}
-			})
-		}()
-		canceled, cancel := context.WithCancel(ctx)
-		cancel()
-		if err := Run(canceled, w, 8, func(int) { t.Errorf("width %d: task ran under a canceled ctx", w) }); !errors.Is(err, context.Canceled) {
-			t.Errorf("width %d: err %v, want context.Canceled", w, err)
+		if c%3 == 1 && i == 199 {
+			panic("stress panic")
 		}
+	})
+	if e != nil && !errors.Is(e, context.Canceled) {
+		return e
 	}
+	if e == nil && int(ran.Load()) != 200 {
+		return errors.New("Run returned nil before every task ran")
+	}
+	return nil
 }

@@ -79,10 +79,11 @@ func ParseSupply(name string) (Supply, error) {
 	}
 	if s, ok := strings.CutSuffix(strings.ToLower(name), "mw"); ok {
 		mw, err := strconv.ParseFloat(s, 64)
-		if err != nil || mw <= 0 || math.IsInf(mw, 0) || math.IsNaN(mw) {
+		w := mw * 1e-3 // a positive mw this small underflows to 0 W
+		if err != nil || !(w > 0) || math.IsInf(w, 0) {
 			return Supply{}, fmt.Errorf("power: bad supply %q", name)
 		}
-		return Supply{Name: name, Power: mw * 1e-3, Jitter: 0.15}, nil
+		return Supply{Name: name, Power: w, Jitter: 0.15}, nil
 	}
 	return Supply{}, fmt.Errorf("power: unknown supply %q (continuous|strong|weak|<N>mW)", name)
 }

@@ -65,24 +65,39 @@ func TestParseSupplyCustomMilliwatts(t *testing.T) {
 
 func TestParseSupplyMalformed(t *testing.T) {
 	for _, in := range []string{
-		"",        // empty
-		"solar",   // unknown name
-		"6",       // no unit
-		"6w",      // wrong unit
-		"mW",      // no number
-		"xmW",     // not a number
-		"0mW",     // zero power cannot recharge
-		"-3mW",    // negative power
-		"InfmW",   // non-finite
-		"-InfmW",  // non-finite
-		"NaNmW",   // non-finite
-		"6 mW",    // interior space
-		"6mWatts", // trailing junk
+		"",         // empty
+		"solar",    // unknown name
+		"6",        // no unit
+		"6w",       // wrong unit
+		"mW",       // no number
+		"xmW",      // not a number
+		"0mW",      // zero power cannot recharge
+		"-3mW",     // negative power
+		"InfmW",    // non-finite
+		"-InfmW",   // non-finite
+		"NaNmW",    // non-finite
+		"5e-324mW", // underflows to 0 W
+		"6 mW",     // interior space
+		"6mWatts",  // trailing junk
 	} {
 		if got, err := ParseSupply(in); err == nil {
 			t.Errorf("ParseSupply(%q) = %+v, want error", in, got)
 		}
 	}
+}
+
+// FuzzParseSupply: any string parses to a supply with finite, positive
+// power, or to an error; none panics.
+func FuzzParseSupply(f *testing.F) {
+	for _, in := range []string{"continuous", "WeAk", "6mW", "12.75mw", "0mW", "-3mW", "InfmW", "NaNmW", "5e-324mW", "6 mW", ""} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sup, err := ParseSupply(in)
+		if err == nil && !(sup.Power > 0 && !math.IsInf(sup.Power, 0)) {
+			t.Fatalf("ParseSupply(%q) = %+v: power not finite and positive", in, sup)
+		}
+	})
 }
 
 // TestSimTraceEvents verifies the power simulator's event emission: a

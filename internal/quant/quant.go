@@ -104,12 +104,29 @@ func ForwardQ15(net *nn.Network, in *tensor.Tensor) *tensor.Tensor {
 	return forwardQ15(net, in.Clone())
 }
 
-// forwardQ15 is ForwardQ15 rounding the input x in place.
+// forwardQ15 is ForwardQ15 rounding the input x in place. It skips the
+// roundings that cannot move a bit. Every layer's input is already
+// rounded, on the Q1.15 grid of its shift s. A ReLU keeps a non-negative
+// subset of those values, whose shift is at most s, so rounding them
+// again is the identity. A max-pool or Flatten keeps a subset too, but
+// that subset may hold -2^s, whose shift is s+1; so their output is
+// rounded unless their input came, through pools and Flattens only,
+// from a ReLU.
 func forwardQ15(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	fixed.FakeQuantize(x.Data)
+	nonNeg := false // x holds no negative value
 	for _, l := range net.Layers {
 		x = l.Forward(x)
-		fixed.FakeQuantize(x.Data)
+		switch l.(type) {
+		case *nn.ReLU:
+			nonNeg = true
+		case *nn.MaxPool2D, *nn.Flatten:
+		default:
+			nonNeg = false
+		}
+		if !nonNeg {
+			fixed.FakeQuantize(x.Data)
+		}
 	}
 	return x
 }

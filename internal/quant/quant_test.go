@@ -3,9 +3,11 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iprune/internal/dataset"
+	"iprune/internal/fixed"
 	"iprune/internal/models"
 	"iprune/internal/nn"
 	"iprune/internal/tensor"
@@ -194,5 +196,77 @@ func TestAccuracyQ15WidthBitIdentical(t *testing.T) {
 		if got := AccuracyQ15(c.net, c.samples); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s, %d samples: AccuracyQ15 %v, want %v", c.net.Name, len(c.samples), got, want)
 		}
+	}
+}
+
+// refForwardQ15 is forwardQ15 before it skipped roundings: every
+// layer's output is rounded. forwardQ15 must match it bit for bit.
+func refForwardQ15(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	fixed.FakeQuantize(x.Data)
+	for _, l := range net.Layers {
+		x = l.Forward(x)
+		fixed.FakeQuantize(x.Data)
+	}
+	return x
+}
+
+// sameBits reports whether two logit slices hold the same float32 bits.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestForwardQ15MatchesRoundEveryLayer runs the three paper models,
+// untrained and after one epoch, through forwardQ15 and refForwardQ15.
+func TestForwardQ15MatchesRoundEveryLayer(t *testing.T) {
+	cfg := dataset.Config{Train: 32, Test: 24, Noise: 0.5}
+	for _, c := range []struct {
+		net *nn.Network
+		ds  *dataset.Dataset
+	}{
+		{models.HAR(1), dataset.HAR(cfg, 1)},
+		{models.CKS(1), dataset.Speech(cfg, 1)},
+		{models.SQN(1), dataset.Images(cfg, 1)},
+	} {
+		for _, trained := range []bool{false, true} {
+			if trained {
+				nn.TrainEpoch(c.net, c.ds.Train, nn.NewSGD(0.02, 0.9), 8, rand.New(rand.NewSource(2)))
+			}
+			q := QuantizeWeights(c.net)
+			for i, s := range c.ds.Test {
+				want := slices.Clone(refForwardQ15(q, s.X.Clone()).Data)
+				if got := ForwardQ15(q, s.X).Data; !sameBits(got, want) {
+					t.Fatalf("%s (trained %v), sample %d: logits %v, want %v", c.net.Name, trained, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A max-pool or Flatten whose input may be negative is rounded: here a
+// conv's rounded output holds -2^s, so its shift is s+1 and rounding it
+// again moves 2^-13 to 2^-12.
+func TestForwardQ15RoundsFlattenAfterConv(t *testing.T) {
+	net := nn.NewNetwork("neg", 2)
+	conv := nn.NewConv2D("c", tensor.ConvGeom{InC: 1, InH: 1, InW: 2, OutC: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, rand.New(rand.NewSource(1)))
+	conv.W.Data[0] = 8 + 0x1p-13 // the input [-0.5, 0] makes the conv output [-(4 - 2^-14), 2^-13]
+	conv.B.Data[0] = 0x1p-13
+	net.Add(conv)
+	net.Add(nn.NewFlatten("fl"))
+	in := tensor.New(1, 1, 2)
+	in.Data[0] = -0.5
+	want := slices.Clone(refForwardQ15(net, in.Clone()).Data)
+	if want[0] != -4 || want[1] != 0x1p-12 {
+		t.Fatalf("reference logits %v, want [-4 2^-12]", want)
+	}
+	if got := ForwardQ15(net, in).Data; !sameBits(got, want) {
+		t.Errorf("logits %v, want %v", got, want)
 	}
 }

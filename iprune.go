@@ -36,7 +36,6 @@
 package iprune
 
 import (
-	"context"
 	"io"
 	"math/rand"
 	"os"
@@ -50,7 +49,6 @@ import (
 	"iprune/internal/models"
 	"iprune/internal/nn"
 	"iprune/internal/obs"
-	"iprune/internal/pool"
 	"iprune/internal/power"
 	"iprune/internal/quant"
 	"iprune/internal/tensor"
@@ -222,46 +220,13 @@ type SweepPoint struct {
 }
 
 // PowerSweep simulates one end-to-end inference of net at every supply,
-// sharded workers-wide across the internal worker pool (workers <= 1 is
-// fully sequential, 0 is not special-cased — pass the parallelism you
-// want). Every point builds its own schedule and cost simulator, so
-// points share only the immutable network and results are positionally
-// deterministic: pts[i] always corresponds to sups[i], whatever the
-// worker count. The masks the schedule needs are installed once, before
-// the fan-out, keeping the shared network read-only inside it; a mask
-// whose geometry does not match the network puts its error in every
-// point's Err.
-func PowerSweep(net *Network, sups []Supply, seed int64, workers int) []SweepPoint {
-	return PowerSweepContext(context.Background(), net, sups, seed, workers)
-}
-
-// PowerSweepContext is PowerSweep under a cancellable context. Points
-// the fan-out never ran (cancellation stops the pool between index
-// draws) carry the pool's error — typically ctx.Err() — in their Err
-// field alongside their Supply, so a partially-swept result never looks
-// like a clean one. Worker panics still propagate as panics.
-func PowerSweepContext(ctx context.Context, net *Network, sups []Supply, seed int64, workers int) []SweepPoint {
+// in order: pts[i] is sups[i]'s point. A mask whose geometry does not
+// match the network puts its error in every point's Err.
+func PowerSweep(net *Network, sups []Supply, seed int64) []SweepPoint {
 	pts := make([]SweepPoint, len(sups))
-	for i := range pts {
-		pts[i].Supply = sups[i]
-	}
-	// Install masks up front so concurrent points never mutate net.
-	cfg := tile.DefaultConfig()
-	if err := tile.EnsureMasks(net, tile.SpecsFromNetwork(net, cfg)); err != nil {
-		for i := range pts {
-			pts[i].Err = err
-		}
-		return pts
-	}
-	done := make([]bool, len(sups))
-	err := pool.Run(ctx, workers, len(sups), func(i int) {
-		pts[i].Result, pts[i].Err = Simulate(net, sups[i], seed)
-		done[i] = true
-	})
-	for i := range pts {
-		if err != nil && !done[i] {
-			pts[i].Err = err
-		}
+	for i, sup := range sups {
+		pts[i].Supply = sup
+		pts[i].Result, pts[i].Err = Simulate(net, sup, seed)
 	}
 	return pts
 }

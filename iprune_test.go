@@ -2,7 +2,6 @@ package iprune_test
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,7 +67,7 @@ func TestWrongMaskGeometryReturnsError(t *testing.T) {
 	if _, err := iprune.SimulateTrace(net, iprune.SolarTrace(10e-3, 60, 1, 1), 1); err == nil {
 		t.Error("SimulateTrace accepted a mismatched mask")
 	}
-	for i, pt := range iprune.PowerSweep(net, []iprune.Supply{iprune.StrongPower, iprune.WeakPower}, 1, 2) {
+	for i, pt := range iprune.PowerSweep(net, []iprune.Supply{iprune.StrongPower, iprune.WeakPower}, 1) {
 		if pt.Err == nil {
 			t.Errorf("PowerSweep point %d: Err = nil for a mismatched mask", i)
 		}
@@ -81,33 +80,6 @@ func TestWrongMaskGeometryReturnsError(t *testing.T) {
 	}
 	if _, err := iprune.Engine(net); err == nil {
 		t.Error("Engine accepted a mismatched mask")
-	}
-}
-
-// TestPowerSweepCancelledPropagatesError pins the sweep error path: a
-// cancelled fan-out must surface the pool's error on every point it
-// never ran instead of returning points that look clean.
-func TestPowerSweepCancelledPropagatesError(t *testing.T) {
-	net, err := iprune.BuildModel("HAR", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sups := []iprune.Supply{iprune.ContinuousPower, iprune.StrongPower, iprune.WeakPower}
-	for _, workers := range []int{1, 3} {
-		pts := iprune.PowerSweepContext(ctx, net, sups, 1, workers)
-		if len(pts) != len(sups) {
-			t.Fatalf("workers=%d: got %d points, want %d", workers, len(pts), len(sups))
-		}
-		for i, pt := range pts {
-			if pt.Supply.Name != sups[i].Name {
-				t.Errorf("workers=%d: pts[%d].Supply = %q, want %q", workers, i, pt.Supply.Name, sups[i].Name)
-			}
-			if pt.Err == nil {
-				t.Errorf("workers=%d: pts[%d].Err = nil after cancellation", workers, i)
-			}
-		}
 	}
 }
 

@@ -63,18 +63,26 @@ go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAd
 # Fuzz smoke: bounded runs of the GEMM kernels, the Q1.15 fake
 # quantization and the max-pool layer against their bit-exact
 # references, of the loader's function-body blanker against the parser,
-# and of the HAWAII⁺ engine under generated power-failure patterns
-# against an uninterrupted run. Plain go test above already ran the seed
-# corpora; a failing input lands in the package's testdata/fuzz as a
-# regression fixture. A dense failure pattern costs up to ~0.1 s per
+# of the HAWAII⁺ engine under generated power-failure patterns against
+# an uninterrupted run, and of the parsers of outside input (model
+# files, supply and budget strings, fleet scenarios), which must return
+# a value or an error and never panic. Plain go test above already ran
+# the seed corpora; a failing input lands in the package's testdata/fuzz
+# as a regression fixture. A dense failure pattern costs up to ~0.1 s per
 # engine run, so minimizing each new corpus entry (60 s by default) would
 # take the engine smoke's whole budget: it minimizes for 1 s at most.
+# So does the model-file smoke, whose seed, a saved HAR model, is
+# ~270 KB.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzFakeQuantize$' -fuzztime 10s ./internal/fixed
 go test -run '^$' -fuzz '^FuzzMaxPool2D$' -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz '^FuzzBlankBodies$' -fuzztime 10s ./internal/analysis
 go test -run '^$' -fuzz '^FuzzEngineFailures$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hawaii
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s -fuzzminimizetime 1s ./internal/models
+go test -run '^$' -fuzz '^FuzzParseSupply$' -fuzztime 5s ./internal/power
+go test -run '^$' -fuzz '^FuzzParseBudget$' -fuzztime 5s ./internal/energy
+go test -run '^$' -fuzz '^FuzzParseScenario$' -fuzztime 5s ./internal/fleet
 
 # Artifact directory shared by the SARIF and repro-smoke steps. CI sets
 # CHECK_ARTIFACT_DIR to a directory it uploads; local runs use a
@@ -89,24 +97,9 @@ fi
 
 echo "== iprunelint"
 status=0
-go run ./cmd/iprunelint -cache -cachestats -json ./... > "$tmp/iprunelint.json" || status=$?
+go run ./cmd/iprunelint -json ./... > "$tmp/iprunelint.json" || status=$?
 cat "$tmp/iprunelint.json"
 [ "$status" -eq 0 ] || exit "$status"
-
-# Cache soundness: an immediate rerun over unchanged sources must be
-# fully warm — any miss or invalidation means the cache key omits an
-# input that the first run just wrote, i.e. the cache would silently
-# serve stale diagnostics after that input changes.
-echo "== iprunelint cache soundness"
-warm=$(go run ./cmd/iprunelint -cache -cachestats ./... 2>&1 >/dev/null)
-echo "$warm"
-case "$warm" in
-*" 0 miss(es), 0 invalidation(s)"*) ;;
-*)
-    echo "iprunelint: warm rerun was not fully cached (unsound cache key?)" >&2
-    exit 1
-    ;;
-esac
 
 # Budget audit: the measured energy of an intermittent run must respect
 # the same per-power-cycle bound the regionbudget analyzer proves
@@ -120,7 +113,7 @@ go run ./cmd/isim -model HAR -power weak -audit -auditlint "$tmp/iprunelint.json
 # JSON run above); anything higher is an analyzer failure.
 echo "== iprunelint sarif"
 status=0
-go run ./cmd/iprunelint -cache -sarif ./... > "$tmp/iprunelint.sarif" || status=$?
+go run ./cmd/iprunelint -sarif ./... > "$tmp/iprunelint.sarif" || status=$?
 [ "$status" -le 1 ] || exit "$status"
 go run scripts/sarifcheck.go "$tmp/iprunelint.sarif"
 
