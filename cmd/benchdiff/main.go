@@ -13,9 +13,12 @@
 // fails the diff. A hot benchmark whose baseline ns/op is zero or
 // missing cannot be compared by percent and fails closed, and a hot
 // benchmark that disappeared from the new snapshot fails too — a
-// deleted benchmark must not silently drop its gate. Non-hot benchmarks
-// are reported but never fail — macro benchmarks (whole pruning runs)
-// jitter too much to gate on.
+// benchmark must not silently drop its gate — unless its function is
+// gone from the source: when the _test.go files of its package, found
+// from the snapshot's pkg and the go.mod enclosing the working
+// directory, declare no function of its top-level name, it is reported
+// as retired. Non-hot benchmarks are reported but never fail — macro
+// benchmarks (whole pruning runs) jitter too much to gate on.
 //
 // Exit status: 0 no hot-path regression, 1 regression found, 2
 // operational error (bad invocation, unreadable or malformed snapshot).
@@ -25,10 +28,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 )
 
 // defaultHot matches the kernel/engine benchmarks whose per-op numbers
@@ -149,8 +157,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Strings(gone)
 	for _, key := range gone {
 		if hot.MatchString(oldBy[key].Name) {
-			// A vanished hot benchmark silently retires its gate: treat
-			// the disappearance itself as a failure.
+			if retired(oldBy[key]) {
+				fmt.Fprintf(stdout, "retired %s (its function is gone from the source)\n", key)
+				continue
+			}
+			// A vanished hot benchmark whose function still exists would
+			// silently drop its gate: the disappearance itself fails.
 			fmt.Fprintf(stdout, "FAIL  %s disappeared from %s (hot benchmarks must not vanish)\n", key, fs.Arg(1))
 			regressions++
 			continue
@@ -165,6 +177,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "benchdiff: %d benchmark(s) compared, no hot-path regression\n", compared)
 	return 0
+}
+
+// retired reports whether b's benchmark function was deleted: the
+// _test.go files of its package declare no function of its top-level
+// name. The package's directory is b.Pkg's place under the module whose
+// go.mod encloses the working directory. When that source cannot be
+// found or parsed, b is not retired, so its disappearance still fails.
+func retired(b bench) bool {
+	root, module, err := enclosingModule()
+	if err != nil {
+		return false
+	}
+	rel, ok := strings.CutPrefix(b.Pkg, module)
+	if !ok || rel != "" && rel[0] != '/' {
+		return false
+	}
+	tests, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(rel), "*_test.go"))
+	if err != nil || len(tests) == 0 {
+		return false
+	}
+	top, _, _ := strings.Cut(b.Name, "/")
+	fset := token.NewFileSet()
+	for _, path := range tests {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return false
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == top {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// enclosingModule returns the directory of the go.mod nearest above the
+// working directory and the module path it declares.
+func enclosingModule() (root, module string, err error) {
+	root, err = os.Getwd()
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+		if err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return root, strings.Trim(strings.TrimSpace(rest), `"`), nil
+				}
+			}
+			return "", "", fmt.Errorf("benchdiff: no module directive in %s", filepath.Join(root, "go.mod"))
+		}
+		parent := filepath.Dir(root)
+		if parent == root {
+			return "", "", fmt.Errorf("benchdiff: no go.mod above the working directory")
+		}
+		root = parent
+	}
 }
 
 func readSnapshot(path string) (*snapshot, error) {

@@ -185,3 +185,69 @@ func TestGoneAndNewBenchmarks(t *testing.T) {
 		t.Errorf("new/gone benchmarks not reported:\n%s", stdout)
 	}
 }
+
+// TestRetiredHotBenchmark runs in a throwaway module whose package k
+// declares only BenchmarkGemmKept. A hot benchmark whose function is
+// gone from k's tests is retired; one whose function still exists, or
+// whose package source cannot be found, still fails when it vanishes.
+func TestRetiredHotBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	for rel, content := range map[string]string{
+		"go.mod":       "module example.com/m\n\ngo 1.22\n",
+		"k/k_test.go":  "package k\n\nimport \"testing\"\n\nfunc BenchmarkGemmKept(b *testing.B) {}\n",
+		"k/other.go":   "package k\n\nfunc BenchmarkGemmDeleted() {}\n", // not a test file
+		"k/k2_test.go": "package k\n\ntype T struct{}\n\nfunc (T) BenchmarkGemmDeleted() {}\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join(dir, "k")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	snap := func(name string, benches ...string) string {
+		var lines []string
+		for _, b := range benches {
+			pkg, bench, _ := strings.Cut(b, " ")
+			lines = append(lines, fmt.Sprintf(`{"pkg": %q, "name": %q, "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 0, "allocs_per_op": 0}`, pkg, bench))
+		}
+		path := filepath.Join(dir, name)
+		content := `{"date": "x", "benchmarks": [` + strings.Join(lines, ",\n") + `]}`
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const (
+		kept    = "example.com/m/k BenchmarkGemmKept"
+		deleted = "example.com/m/k BenchmarkGemmDeleted/workers=1"
+	)
+	old := snap("old.json", kept, deleted)
+	code, stdout, stderr := runDiff(t, old, snap("retired.json", kept))
+	if code != 0 || !strings.Contains(stdout, "retired example.com/m/k.BenchmarkGemmDeleted/workers=1") {
+		t.Errorf("deleted function: exit %d, want 0 and a retired line\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	code, stdout, _ = runDiff(t, old, snap("gone.json", deleted))
+	if code != 1 || !strings.Contains(stdout, "FAIL  example.com/m/k.BenchmarkGemmKept disappeared") {
+		t.Errorf("existing function: exit %d, want 1 and a FAIL line\n%s", code, stdout)
+	}
+	for _, pkg := range []string{"example.com/m/missing", "example.com/mother", "other.org/k"} {
+		old := snap("old.json", kept, pkg+" BenchmarkGemmDeleted")
+		if code, stdout, _ := runDiff(t, old, snap("new.json", kept)); code != 1 {
+			t.Errorf("%s: source not found: exit %d, want 1\n%s", pkg, code, stdout)
+		}
+	}
+}

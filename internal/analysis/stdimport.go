@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"iprune/internal/pool"
@@ -27,6 +28,9 @@ import (
 //   - A package's files are parsed in parallel by parseFiles.
 //   - Function bodies are blanked before parsing (blankBodies): the
 //     type check ignores them anyway, so the parser need not build them.
+//   - Only the imports a declaration can name are imported; every other
+//     import of the package gets an empty stub (stubImporter). runtime,
+//     for one, is reached only from function bodies.
 //
 // Packages are type-checked as the source importer does: function bodies
 // ignored, gc sizes for GOARCH, and the first hard type error returned
@@ -34,6 +38,10 @@ import (
 // checked with a fake "C" package, so declarations that use C types have
 // invalid types where the source importer would run cgo (with cgo
 // enabled, unexported parts of net and os/user).
+//
+// The objects of every package it returns are the source importer's,
+// but the Imports() of a package it type-checked may list stubs: empty,
+// complete packages that no object of its API refers to.
 type stdImporter struct {
 	fset  *token.FileSet
 	sizes types.Sizes
@@ -106,33 +114,128 @@ func (imp *stdImporter) load(path, dir string) *stdPackage {
 	return p
 }
 
+// check parses and type-checks the package bp.
 func (imp *stdImporter) check(bp *build.Package) (*types.Package, error) {
 	names := append(append([]string(nil), bp.GoFiles...), bp.CgoFiles...)
 	files, errs := parseFiles(imp.fset, bp.Dir, names, parser.SkipObjectResolution, true)
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}
+	return imp.checkFiles(bp.ImportPath, files, len(bp.CgoFiles) > 0)
+}
+
+// checkFiles type-checks files as the package path, first with the
+// imports its declarations do not need stubbed and, if that check
+// reports an error, again with every import real. A stubbed import
+// whose name was guessed wrong (an unnamed math/rand/v2 is named rand,
+// not v2) leaves a name undefined, so the stubs can only skip work:
+// when the stubbed check succeeds, no declaration went through a stub.
+// The second check gets the same files, which a check with nil Info
+// does not change.
+func (imp *stdImporter) checkFiles(path string, files []*ast.File, cgo bool) (*types.Package, error) {
+	pkg, err := imp.typeCheck(path, files, cgo, imp.stubbing(files))
+	if err != nil {
+		pkg, err = imp.typeCheck(path, files, cgo, imp)
+	}
+	return pkg, err
+}
+
+// typeCheck type-checks files as the package path with function bodies
+// ignored, importing through importer, and returns the first hard error
+// as the package's error.
+func (imp *stdImporter) typeCheck(path string, files []*ast.File, cgo bool, importer types.ImporterFrom) (*types.Package, error) {
 	var hard error
 	conf := types.Config{
 		IgnoreFuncBodies: true,
-		FakeImportC:      len(bp.CgoFiles) > 0,
+		FakeImportC:      cgo,
 		Error: func(err error) {
 			if terr, ok := err.(types.Error); hard == nil && ok && !terr.Soft {
 				hard = err
 			}
 		},
-		Importer: imp,
+		Importer: importer,
 		Sizes:    imp.sizes,
 	}
-	pkg, err := conf.Check(bp.ImportPath, imp.fset, files, nil)
+	pkg, err := conf.Check(path, imp.fset, files, nil)
 	if err != nil {
 		// A package with a hard error may be incompletely populated.
 		if hard != nil {
 			pkg, err = nil, hard
 		}
-		return pkg, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
+		return pkg, fmt.Errorf("type-checking package %q failed (%v)", path, err)
 	}
 	return pkg, nil
+}
+
+// stubImporter is the importer of one check that ignores function
+// bodies. Such a check needs only the imports that a declaration names,
+// and Go source names a package only as the base X of a selector X.Sel.
+// So an import is needed when it is a dot import, when its local name —
+// its explicit name, or else the last element of its path — is the base
+// of a selector anywhere in the package's files, or when it is unsafe.
+// Needed paths go to the shared importer; every other path gets a stub,
+// an empty, complete package of the guessed name that is never resolved
+// with go/build and never memoized, so a later real import of the same
+// path loads the real package. The scan covers whatever the blanked
+// files keep (function literals in var initializers, bodies holding a
+// //line directive), which can only add needed imports. Cgo's "C" never
+// reaches an importer: the check fakes it.
+type stubImporter struct {
+	imp    *stdImporter
+	needed map[string]bool // import paths that are imported for real
+}
+
+// stubbing returns the stubImporter for a check of files.
+func (imp *stdImporter) stubbing(files []*ast.File) *stubImporter {
+	bases := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok {
+					bases[x.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	needed := map[string]bool{"unsafe": true}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				continue // the check rejects the path without importing it
+			}
+			name := guessName(path)
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			if name == "." || bases[name] {
+				needed[path] = true
+			}
+		}
+	}
+	return &stubImporter{imp: imp, needed: needed}
+}
+
+// guessName guesses a package's name from its import path: the path's
+// last element.
+func guessName(path string) string {
+	return path[strings.LastIndexByte(path, '/')+1:]
+}
+
+// Import implements types.Importer.
+func (s *stubImporter) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, ".", 0)
+}
+
+// ImportFrom implements types.ImporterFrom.
+func (s *stubImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if s.needed[path] {
+		return s.imp.ImportFrom(path, dir, mode)
+	}
+	stub := types.NewPackage(path, guessName(path))
+	stub.MarkComplete()
+	return stub, nil
 }
 
 // parseFiles parses the named files of dir into fset, spread over at

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,11 +19,15 @@ import (
 
 // TestStdImporterMatchesSource imports every standard-library package
 // this repository imports through the loader's importer and through
-// go/importer's source importer, and compares the two over the whole
-// transitive closure: each package-scope object, the methods and
-// pointer method set of each named type, and each constant's value.
+// go/importer's source importer. Every root is type-checked, never
+// stubbed; every package the loader's importer type-checked renders as
+// the source importer's does (each package-scope object, the methods and
+// pointer method set of each named type, and each constant's value) and
+// names no stub in that rendering; every stub it handed out is empty and
+// complete and imports nothing.
 func TestStdImporterMatchesSource(t *testing.T) {
 	l, _ := loadModule(t, filepath.Join("..", ".."))
+	checked := typeChecked(l.std)
 	seen := map[string]bool{}
 	var roots []string
 	for _, p := range l.Packages() {
@@ -32,23 +39,37 @@ func TestStdImporterMatchesSource(t *testing.T) {
 			if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") && !seen[path] {
 				seen[path] = true
 				roots = append(roots, path)
+				if !checked[imp] {
+					t.Errorf("root %s: stubbed", path)
+				}
 			}
 		}
 	}
 	sort.Strings(roots)
-	got := importClosure(t, l.std, roots)
 	want := importClosure(t, importer.ForCompiler(token.NewFileSet(), "source", nil), roots)
-	if len(got) != len(want) {
-		t.Errorf("closure of %d roots: %d packages, source importer %d", len(roots), len(got), len(want))
-	}
-	diffs := 0
-	for path, wp := range want {
-		gp := got[path]
-		if gp == nil {
-			t.Errorf("%s: reached by the source importer only", path)
+	diffs, stubs := 0, 0
+	for gp := range checked {
+		path := gp.Path()
+		for _, q := range gp.Imports() {
+			if !checked[q] {
+				stubs++
+				if len(q.Scope().Names()) > 0 || !q.Complete() || len(q.Imports()) > 0 {
+					t.Errorf("%s: stub %s is not empty", path, q.Path())
+				}
+			}
+		}
+		wp := want[path]
+		if wp == nil {
+			t.Errorf("%s: type-checked, but not reached by the source importer", path)
 			continue
 		}
-		g, w := describePackage(gp), describePackage(wp)
+		refs := map[*types.Package]bool{}
+		g, w := describePackage(gp, refs), describePackage(wp, nil)
+		for q := range refs {
+			if !checked[q] {
+				t.Errorf("%s: its API names the stub %s", path, q.Path())
+			}
+		}
 		for i := 0; i < len(g) || i < len(w); i++ {
 			if i >= len(g) || i >= len(w) || g[i] != w[i] {
 				diffs++
@@ -59,7 +80,8 @@ func TestStdImporterMatchesSource(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d roots, %d packages in the closure, %d differ", len(roots), len(want), diffs)
+	t.Logf("%d roots: the source importer's closure has %d packages; %d type-checked (unsafe aside), %d differ, %d stubbed imports",
+		len(roots), len(want), len(checked)-1, diffs, stubs)
 }
 
 func line(lines []string, i int) string {
@@ -67,6 +89,17 @@ func line(lines []string, i int) string {
 		return lines[i]
 	}
 	return "<none>"
+}
+
+// typeChecked returns the packages imp has type-checked, and unsafe.
+func typeChecked(imp *stdImporter) map[*types.Package]bool {
+	pkgs := map[*types.Package]bool{types.Unsafe: true}
+	for _, p := range imp.pkgs {
+		if p.types != nil {
+			pkgs[p.types] = true
+		}
+	}
+	return pkgs
 }
 
 // importClosure imports roots and returns every package reached, by path.
@@ -93,9 +126,183 @@ func importClosure(t *testing.T, imp types.Importer, roots []string) map[string]
 	return pkgs
 }
 
-// describePackage renders what an importer of p can see of it.
-func describePackage(p *types.Package) []string {
-	qual := func(p *types.Package) string { return p.Path() }
+// TestStubFallback checks the check with every import real that follows
+// a failed stubbed check: the name guessed for an unnamed math/rand/v2
+// is v2, so a declaration naming rand fails the stubbed check.
+func TestStubFallback(t *testing.T) {
+	dir := t.TempDir()
+	src := "package p\n\nimport \"math/rand/v2\"\n\nvar R *rand.Rand\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := newStdImporter(token.NewFileSet())
+	files, errs := parseFiles(imp.fset, dir, bp.GoFiles, parser.SkipObjectResolution, true)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	if _, err := imp.typeCheck("p", files, false, imp.stubbing(files)); err == nil || !strings.Contains(err.Error(), "undefined: rand") {
+		t.Fatalf("stubbed check: error %v, want undefined: rand", err)
+	}
+	pkg, err := imp.check(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pkg.Scope().Lookup("R").Type().String(); got != "*math/rand/v2.Rand" {
+		t.Errorf("R has type %s, want *math/rand/v2.Rand", got)
+	}
+}
+
+// stubImport is one import spec of FuzzStubImports's files, with a type
+// and a value expression that name it (none for a blank import).
+type stubImport struct{ spec, typ, val string }
+
+// stubFiles is FuzzStubImports's fixed import set, per file: plain,
+// renamed, dot, blank and /v2 imports, two paths imported by both files
+// under different names.
+var stubFiles = [2][]stubImport{
+	{
+		{`"strconv"`, "strconv.NumError", "strconv.IntSize"},
+		{`sc "strings"`, "sc.Builder", `sc.Repeat("a", 2)`},
+		{`. "container/list"`, "List", "New()"},
+		{`_ "container/ring"`, "", ""},
+		{`"math/rand/v2"`, "*rand.Rand", "rand.Int()"},
+	},
+	{
+		{`conv "strconv"`, "conv.NumError", "conv.Itoa(1)"},
+		{`"strings"`, "strings.Reader", "strings.ToUpper"},
+		{`r2 "math/rand/v2"`, "r2.PCG", "r2.Uint64()"},
+		{`"unicode/utf8"`, "[utf8.UTFMax]byte", "utf8.RuneError"},
+	},
+}
+
+// stubSites is how many places a declaration can name an import from:
+// a type declaration, a var initializer, a function literal in a var
+// initializer (its signature and its body), a function signature, a
+// function body only, or nowhere.
+const stubSites = 6
+
+// stubSource writes the two files of one FuzzStubImports input: each
+// byte adds one declaration, in file b>>7, naming import (b&127)%n from
+// site (b&127)/n%stubSites, where n is that file's import count.
+func stubSource(decls []byte) [2][]byte {
+	var src [2]bytes.Buffer
+	for f, imports := range stubFiles {
+		src[f].WriteString("package p\n\nimport (\n")
+		for _, imp := range imports {
+			fmt.Fprintf(&src[f], "\t%s\n", imp.spec)
+		}
+		src[f].WriteString(")\n\n")
+	}
+	for i, b := range decls {
+		f := int(b >> 7)
+		n := len(stubFiles[f])
+		imp, w := stubFiles[f][int(b&127)%n], &src[f]
+		if imp.typ == "" {
+			continue
+		}
+		switch int(b&127) / n % stubSites {
+		case 0:
+			fmt.Fprintf(w, "type T%d %s\n", i, imp.typ)
+		case 1:
+			fmt.Fprintf(w, "var V%d = %s\n", i, imp.val)
+		case 2:
+			fmt.Fprintf(w, "var L%d = func(%s) any { return %s }\n", i, imp.typ, imp.val)
+		case 3:
+			fmt.Fprintf(w, "func S%d(%s) {}\n", i, imp.typ)
+		case 4:
+			fmt.Fprintf(w, "func B%d() any { return %s }\n", i, imp.val)
+		}
+	}
+	return [2][]byte{src[0].Bytes(), src[1].Bytes()}
+}
+
+// FuzzStubImports checks the stub rule against a check with every import
+// real, over generated declarations that name a fixed import set from
+// every kind of place: the importer's result (the stubbed check, and the
+// full check when that one fails) renders as the full check's does, or
+// fails with its error, and a stubbed check that succeeds renders the
+// same too. One importer serves every input, so each input checks only
+// its own small package.
+func FuzzStubImports(f *testing.F) {
+	for site := 0; site < stubSites; site++ {
+		var decls []byte
+		for file, imports := range stubFiles {
+			for i := range imports {
+				decls = append(decls, byte(file<<7|site*len(imports)+i))
+			}
+		}
+		f.Add(decls)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{4}) // type T0 *rand.Rand, rand being the unnamed math/rand/v2
+	imp := newStdImporter(token.NewFileSet())
+	f.Fuzz(func(t *testing.T, decls []byte) {
+		if len(decls) > 64 {
+			return
+		}
+		var files []*ast.File
+		for i, src := range stubSource(decls) {
+			blankBodies(src)
+			file, err := parser.ParseFile(imp.fset, fmt.Sprintf("p%d.go", i), src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("generated source does not parse: %v\n%s", err, src)
+			}
+			files = append(files, file)
+		}
+		full, fullErr := imp.typeCheck("p", files, false, imp)
+		got, err := imp.checkFiles("p", files, false)
+		if fullErr != nil || err != nil {
+			if fmt.Sprint(err) != fmt.Sprint(fullErr) {
+				t.Fatalf("error %v, full check %v", err, fullErr)
+			}
+			return
+		}
+		want := describePackage(full, nil)
+		if g := describePackage(got, nil); !slices.Equal(g, want) {
+			t.Fatalf("packages differ:\n got  %q\n want %q", g, want)
+		}
+		if stubbed, err := imp.typeCheck("p", files, false, imp.stubbing(files)); err == nil {
+			if g := describePackage(stubbed, nil); !slices.Equal(g, want) {
+				t.Fatalf("stubbed check succeeded with another package:\n got  %q\n want %q", g, want)
+			}
+		}
+	})
+}
+
+// BenchmarkStdImport is the std-import rung: a fresh importer per
+// iteration imports what perfbench's lint corpus imports from the
+// standard library. It reports the packages type-checked and the files
+// parsed.
+func BenchmarkStdImport(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		imp := newStdImporter(token.NewFileSet())
+		for _, path := range []string{"errors", "math", "strconv", "sync"} {
+			if _, err := imp.Import(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i == 0 {
+			files := 0
+			imp.fset.Iterate(func(*token.File) bool { files++; return true })
+			b.ReportMetric(float64(len(typeChecked(imp))-1), "pkgs")
+			b.ReportMetric(float64(files), "files")
+		}
+	}
+}
+
+// describePackage renders what an importer of p can see of it, adding
+// to refs (when not nil) every package the rendering names.
+func describePackage(p *types.Package, refs map[*types.Package]bool) []string {
+	qual := func(p *types.Package) string {
+		if refs != nil {
+			refs[p] = true
+		}
+		return p.Path()
+	}
 	lines := []string{"package " + p.Name()}
 	scope := p.Scope()
 	for _, name := range scope.Names() {
@@ -294,5 +501,5 @@ func checkPackage(t *testing.T, src []byte) string {
 	var errs []string
 	conf := types.Config{IgnoreFuncBodies: true, Error: func(err error) { errs = append(errs, err.Error()) }}
 	pkg, _ := conf.Check("p", fset, []*ast.File{f}, nil)
-	return fmt.Sprintf("%q errors %q", describePackage(pkg), errs)
+	return fmt.Sprintf("%q errors %q", describePackage(pkg, nil), errs)
 }

@@ -115,11 +115,38 @@ func genLayer(rng *rand.Rand) (LayerSpec, *nn.BlockMask) {
 	return s, mask
 }
 
+// TestCountLayerMatchesReference compares CountLayer, which walks one
+// column tile and scales, with the closed form over generated layers and
+// over the edges of that scaling: N a multiple of TN or not, N < TN, a
+// nil mask and every block pruned.
 func TestCountLayerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := DefaultConfig()
+	type layer struct {
+		spec LayerSpec
+		mask *nn.BlockMask
+	}
+	var cases []layer
+	for _, s := range []LayerSpec{
+		{Name: "N%TN=0", M: 10, K: 12, N: 9, TM: 4, TK: 5, TN: 3},
+		{Name: "N%TN>0", M: 10, K: 12, N: 7, TM: 4, TK: 5, TN: 3},
+		{Name: "N<TN", M: 10, K: 12, N: 2, TM: 4, TK: 5, TN: 8},
+		{Name: "N=1", M: 3, K: 3, N: 1, TM: 2, TK: 2, TN: 4},
+	} {
+		none := nn.NewBlockMask(s.M, s.K, s.TM, s.TK)
+		some := nn.NewBlockMask(s.M, s.K, s.TM, s.TK)
+		for b := range some.Keep {
+			none.Keep[b] = false
+			some.Keep[b] = b%3 != 1
+		}
+		cases = append(cases, layer{s, nil}, layer{s, none}, layer{s, some})
+	}
 	for i := 0; i < 3000; i++ {
 		spec, mask := genLayer(rng)
+		cases = append(cases, layer{spec, mask})
+	}
+	for i, lc := range cases {
+		spec, mask := lc.spec, lc.mask
 		for _, mode := range []Mode{Intermittent, Continuous} {
 			got := CountLayer(&spec, mask, mode, cfg)
 			want := refCountLayer(&spec, mask, mode, cfg)

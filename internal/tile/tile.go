@@ -286,11 +286,19 @@ func (m Mode) String() string {
 // the job count while layers differ — the layer-wise criterion property
 // of Section III-C.
 //
+// Every column tile issues the same ops with the same marks, and each
+// counter of an op is either the same in every tile (the op itself, its
+// weight block, its indicator) or proportional to the tile's width TN
+// (jobs, MACs, input and output bytes). So the fold walks the first
+// column tile only, of width w = min(TN, N), and scales the first kind
+// by the number of tiles and the second by N/w. A sum of the second kind
+// is a multiple of w, so the division is exact.
+//
 //iprune:hotpath
 //iprune:allow-budget analytic host-side characterization; loop bounds are layer geometry, not an on-device region
 func CountLayer(spec *LayerSpec, mask *nn.BlockMask, mode Mode, cfg Config) Counts {
 	var c Counts
-	for op := Ops(spec, mask); op.Next(); {
+	for op := Ops(spec, mask); op.Next() && op.N0 == 0; {
 		b := op.Bytes(mode, cfg)
 		c.Ops++
 		c.Jobs += op.Jobs()
@@ -300,6 +308,17 @@ func CountLayer(spec *LayerSpec, mask *nn.BlockMask, mode Mode, cfg Config) Coun
 		c.OutputWrite += b.Output
 		c.IndicatorWrite += b.Indicator
 	}
+	if c.Ops == 0 {
+		return c // nothing to scale, and w is 0 when N is
+	}
+	tiles, n, w := int64(ceilDiv(spec.N, spec.TN)), int64(spec.N), int64(min(spec.TN, spec.N))
+	c.Ops *= tiles
+	c.WeightRead *= tiles
+	c.IndicatorWrite *= tiles
+	c.Jobs = c.Jobs / w * n
+	c.MACs = c.MACs / w * n
+	c.InputRead = c.InputRead / w * n
+	c.OutputWrite = c.OutputWrite / w * n
 	return c
 }
 

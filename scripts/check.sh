@@ -62,8 +62,9 @@ go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAd
 
 # Fuzz smoke: bounded runs of the GEMM kernels, the Q1.15 fake
 # quantization and the max-pool layer against their bit-exact
-# references, of the loader's function-body blanker against the parser,
-# of the HAWAII⁺ engine under generated power-failure patterns against
+# references, of the loader's function-body blanker against the parser
+# and of its import stubs against a check with every import real, of
+# the HAWAII⁺ engine under generated power-failure patterns against
 # an uninterrupted run, and of the parsers of outside input (model
 # files, supply and budget strings, fleet scenarios), which must return
 # a value or an error and never panic. Plain go test above already ran
@@ -78,6 +79,7 @@ go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzFakeQuantize$' -fuzztime 10s ./internal/fixed
 go test -run '^$' -fuzz '^FuzzMaxPool2D$' -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz '^FuzzBlankBodies$' -fuzztime 10s ./internal/analysis
+go test -run '^$' -fuzz '^FuzzStubImports$' -fuzztime 10s ./internal/analysis
 go test -run '^$' -fuzz '^FuzzEngineFailures$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hawaii
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s -fuzzminimizetime 1s ./internal/models
 go test -run '^$' -fuzz '^FuzzParseSupply$' -fuzztime 5s ./internal/power
