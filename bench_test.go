@@ -18,14 +18,12 @@ import (
 	"iprune/internal/analysis"
 	"iprune/internal/core"
 	"iprune/internal/dataset"
-	"iprune/internal/fixed"
 	"iprune/internal/hawaii"
 	"iprune/internal/models"
 	"iprune/internal/nn"
 	"iprune/internal/power"
 	"iprune/internal/quant"
 	"iprune/internal/report"
-	"iprune/internal/sparse"
 	"iprune/internal/tensor"
 	"iprune/internal/tile"
 )
@@ -504,32 +502,6 @@ func BenchmarkCostSimRunHAR(b *testing.B) {
 		if _, err := cs.Run(ops, tile.Intermittent, power.WeakPower, int64(i)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkBSRMulVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rows, cols := 64, 512
-	w := make([]float32, rows*cols)
-	for i := range w {
-		w[i] = rng.Float32() - 0.5
-	}
-	mask := nn.NewBlockMask(rows, cols, 8, 32)
-	for i := 0; i < mask.NumBlocks(); i += 2 {
-		mask.Keep[i] = false
-	}
-	mask.Apply(w)
-	m, err := sparse.FromDense(w, rows, cols, mask, 8, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]fixed.Q15, cols)
-	for i := range x {
-		x[i] = fixed.FromFloat(rng.Float64() - 0.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(x)
 	}
 }
 

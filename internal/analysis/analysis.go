@@ -12,12 +12,21 @@
 //   - errcheck: error returns are not silently discarded;
 //   - warhazard: no write-after-read hazard on NVM state between
 //     preservation points (CFG + dataflow, see flow/ and warhazard.go);
+//   - parsafe: goroutines do not race NVM state, hot paths or
+//     WaitGroup accounting;
 //   - floatflow / allocflow: the float-purity and hot-alloc invariants
 //     propagated interprocedurally over the module call graph;
 //   - regionbudget: every preserve-to-preserve region in a hot path has
 //     a static worst-case cost within the power-cycle energy budget
 //     (trip-count inference + interprocedural summaries, see
-//     regionbudget.go).
+//     regionbudget.go);
+//   - lockorder: mutexes are acquired in one global order;
+//   - goleak: spawned goroutines terminate, and channels are not closed
+//     twice, sent to after a close, or sent to with no receiver.
+//
+// The seven module analyzers (floatpurity, hotalloc, floatflow,
+// allocflow, regionbudget, lockorder, goleak) read one function table
+// per run (see interproc.go).
 //
 // Analyzers report findings through Pass.Reportf, which consults the
 // directive index (see directives.go) so that //iprune:allow-* escape
@@ -84,6 +93,9 @@ type Pass struct {
 // position (same line, the line above, the enclosing function's doc
 // comment, or the file header).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	if p.diags == nil {
+		return // a module analyzer's report outside its Scope
+	}
 	position := p.Fset.Position(pos)
 	if p.allow != "" && p.suppressed(pos, position) {
 		return
@@ -96,19 +108,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 func (p *Pass) suppressed(pos token.Pos, position token.Position) bool {
-	if p.Dirs.FileHas(position.Filename, p.allow) {
-		return true
-	}
-	if p.Dirs.LineHas(position.Filename, position.Line, p.allow) ||
-		p.Dirs.LineHas(position.Filename, position.Line-1, p.allow) {
-		return true
-	}
+	var fn types.Object
 	if decl := p.EnclosingFunc(pos); decl != nil {
-		if obj := p.Info.Defs[decl.Name]; obj != nil && p.Dirs.ObjHas(obj, p.allow) {
-			return true
-		}
+		fn = p.Info.Defs[decl.Name]
 	}
-	return false
+	return p.Dirs.allows(position, fn, p.allow)
 }
 
 // EnclosingFunc returns the innermost function declaration whose body
@@ -146,6 +150,15 @@ type ModulePass struct {
 	name   string
 	scope  func(string) bool
 	passes map[*Package]*Pass
+	funcs  *funcTable // shared by the run's module analyzers
+}
+
+// table returns the run's function table, building it on first use.
+func (mp *ModulePass) table() *funcTable {
+	if !mp.funcs.built {
+		mp.funcs.build()
+	}
+	return mp.funcs
 }
 
 // Pass returns the reporting pass for one of the module's packages.
@@ -158,7 +171,7 @@ func (mp *ModulePass) Pass(pkg *Package) *Pass {
 	}
 	diags := mp.diags
 	if mp.scope != nil && !mp.scope(pkg.Path) {
-		diags = &[]Diagnostic{} // discard
+		diags = nil // Reportf discards
 	}
 	p := &Pass{
 		Fset:  pkg.Fset,
@@ -176,8 +189,9 @@ func (mp *ModulePass) Pass(pkg *Package) *Pass {
 // Run executes the analyzers over the packages and returns all findings
 // sorted by position. Per-package analyzers run on each package inside
 // their Scope, package by package; then each module-level analyzer runs
-// once over all packages. Packages that failed to type-check are
-// skipped (the loader already surfaced their errors as diagnostics).
+// once over all packages, every one reading the same function table.
+// Packages that failed to type-check are skipped (the loader already
+// surfaced their errors as diagnostics).
 func Run(analyzers []*Analyzer, pkgs []*Package, dirs *Directives) []Diagnostic {
 	clean := cleanPkgs(pkgs)
 	var diags []Diagnostic
@@ -188,9 +202,10 @@ func Run(analyzers []*Analyzer, pkgs []*Package, dirs *Directives) []Diagnostic 
 			}
 		}
 	}
+	table := &funcTable{pkgs: clean, dirs: dirs}
 	for _, a := range analyzers {
 		if a.RunModule != nil {
-			diags = append(diags, runModule(a, clean, dirs, a.Scope)...)
+			diags = append(diags, runModule(a, table, a.Scope)...)
 		}
 	}
 	Sort(diags)
@@ -233,23 +248,25 @@ func cleanPkgs(pkgs []*Package) []*Package {
 // run with that package as the whole module.
 func RunOne(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
 	if a.RunModule != nil {
-		return runModule(a, []*Package{pkg}, dirs, nil)
+		return runModule(a, &funcTable{pkgs: []*Package{pkg}, dirs: dirs}, nil)
 	}
 	return runPkg(a, pkg, dirs)
 }
 
-// runModule runs a module-level analyzer once over pkgs, keeping the
-// reports on packages inside scope (nil keeps every report).
-func runModule(a *Analyzer, pkgs []*Package, dirs *Directives, scope func(string) bool) []Diagnostic {
+// runModule runs a module-level analyzer once over the table's
+// packages, keeping the reports on packages inside scope (nil keeps
+// every report).
+func runModule(a *Analyzer, table *funcTable, scope func(string) bool) []Diagnostic {
 	var diags []Diagnostic
 	a.RunModule(&ModulePass{
-		Pkgs:   pkgs,
-		Dirs:   dirs,
+		Pkgs:   table.pkgs,
+		Dirs:   table.dirs,
 		diags:  &diags,
 		allow:  a.Allow,
 		name:   a.Name,
 		scope:  scope,
 		passes: map[*Package]*Pass{},
+		funcs:  table,
 	})
 	return diags
 }
@@ -291,10 +308,11 @@ func Sort(diags []Diagnostic) {
 	})
 }
 
-// All returns the project analyzers in their canonical order: the four
-// per-package syntactic checks, the CFG/dataflow WAR-hazard and
-// concurrency-safety passes, and the three interprocedural call-graph
-// passes.
+// All returns the project analyzers in their canonical order, the order
+// iprunelint -list prints: floatpurity, nvmdiscipline, hotalloc and
+// errcheck, the CFG/dataflow WAR-hazard and goroutine-safety passes,
+// the three interprocedural call-graph passes, and the lock-order and
+// goroutine-lifecycle passes.
 func All() []*Analyzer {
 	return []*Analyzer{FloatPurity, NVMDiscipline, HotAlloc, ErrCheck, WARHazard, Parsafe, FloatFlow, AllocFlow, RegionBudget, LockOrder, Goleak}
 }

@@ -103,6 +103,16 @@ func (d *Directives) ObjHas(obj types.Object, name string) bool {
 	return hasDirective(d.obj[obj], name)
 }
 
+// allows reports whether an allow directive covers a position: in the
+// file header, on its line or the line above, or on fn, the declaration
+// enclosing it (nil outside any).
+func (d *Directives) allows(p token.Position, fn types.Object, allow string) bool {
+	return d.FileHas(p.Filename, allow) ||
+		d.LineHas(p.Filename, p.Line, allow) ||
+		d.LineHas(p.Filename, p.Line-1, allow) ||
+		d.ObjHas(fn, allow)
+}
+
 // ObjGet returns the first directive with the given name on the declared
 // object. Analyzers that consume a directive's value (regionbudget reads
 // the budget expression out of //iprune:budget's reason slot) use this

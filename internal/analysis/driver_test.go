@@ -370,3 +370,43 @@ func TestCacheUncachedEquivalence(t *testing.T) {
 		t.Errorf("stats %+v, want %d misses and no hits", c.Stats, len(pkgs))
 	}
 }
+
+// TestRunAllEqualsEachAlone pins the shared function table: the module
+// analyzers of one Run read one table, and none may change what another
+// reports. Run(All()) must equal the union of every analyzer run alone.
+func TestRunAllEqualsEachAlone(t *testing.T) {
+	dir := writeModule(t, "iprune", map[string]string{
+		"internal/tile/kernel.go": "package tile\n\n" +
+			"var half = 1 / 2.0\n\n" +
+			"func Scale(x float64) float64 { return x * half }\n\n" +
+			"//iprune:hotpath\nfunc Hot(x float64) float64 { return Scale(x) }\n",
+		"internal/nn/alloc.go": "package nn\n\n" +
+			"func grow(xs []int) []int { return append(xs, 1) }\n\n" +
+			"//iprune:hotpath\nfunc Hot(xs []int) []int {\n" +
+			"\tfor range xs {\n\t\txs = append(xs, 1)\n\t\txs = grow(xs)\n\t}\n\treturn xs\n}\n",
+		"internal/pool/locks.go": "package pool\n\nimport \"sync\"\n\n" +
+			"var a, b sync.Mutex\n\n" +
+			"func AB() {\n\ta.Lock()\n\tb.Lock()\n\tb.Unlock()\n\ta.Unlock()\n}\n\n" +
+			"func BA() {\n\tb.Lock()\n\ta.Lock()\n\ta.Unlock()\n\tb.Unlock()\n}\n\n" +
+			"func Spin() {\n\tgo func() {\n\t\tfor {\n\t\t}\n\t}()\n}\n",
+	})
+	l, pkgs := loadModule(t, dir, "./...")
+	all := Run(All(), pkgs, l.Directives())
+	var alone []Diagnostic
+	for _, a := range All() {
+		alone = append(alone, Run([]*Analyzer{a}, pkgs, l.Directives())...)
+	}
+	Sort(alone)
+	if !reflect.DeepEqual(all, alone) {
+		t.Fatalf("Run(All()) differs from the analyzers run alone:\nall:   %v\nalone: %v", all, alone)
+	}
+	found := map[string]bool{}
+	for _, d := range all {
+		found[d.Analyzer] = true
+	}
+	for _, name := range []string{"floatpurity", "hotalloc", "floatflow", "allocflow", "regionbudget", "lockorder", "goleak"} {
+		if !found[name] {
+			t.Errorf("no %s finding; the module should have one: %v", name, all)
+		}
+	}
+}

@@ -67,7 +67,7 @@ func checkBlankClose(pass *Pass, n *ast.AssignStmt) {
 	if !ok || !returnsError(pass, call) {
 		return
 	}
-	fn := calledFunc(pass, call)
+	fn := staticCallee(pass.Info, call)
 	if fn == nil || fn.Name() != "Close" {
 		return
 	}
@@ -102,29 +102,15 @@ func isErrorType(t types.Type) bool {
 
 // calleeName renders the called function for the diagnostic.
 func calleeName(pass *Pass, call *ast.CallExpr) string {
-	if fn := calledFunc(pass, call); fn != nil {
+	if fn := staticCallee(pass.Info, call); fn != nil {
 		return fn.FullName()
 	}
 	return "call"
 }
 
-func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.Info.Uses[id].(*types.Func)
-	return fn
-}
-
 // excludedCall applies the never-fails allowlist.
 func excludedCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calledFunc(pass, call)
+	fn := staticCallee(pass.Info, call)
 	if fn == nil {
 		return false
 	}

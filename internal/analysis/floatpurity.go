@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "go/token"
 
 // FloatPurity flags floating-point arithmetic and conversions to float
 // types inside the fixed-point kernel packages. The device computes in
@@ -26,76 +21,30 @@ var FloatPurity = &Analyzer{
 		}
 		return false
 	},
-	Run: runFloatPurity,
+	RunModule: runFloatPurity,
 }
 
-func runFloatPurity(pass *Pass) {
+// runFloatPurity reports every float site of the function table,
+// package-level declarations included.
+func runFloatPurity(mp *ModulePass) {
 	// One finding per source line keeps a compound expression like
 	// a*b + c from reporting every sub-expression.
 	reported := map[token.Position]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		p := pass.Fset.Position(pos)
+	for _, site := range mp.table().floats {
+		pass := mp.Pass(site.pkg)
+		if pass.diags == nil {
+			continue // outside the scope
+		}
+		p := pass.Fset.Position(site.pos)
 		key := token.Position{Filename: p.Filename, Line: p.Line}
 		if reported[key] {
-			return
+			continue
 		}
 		reported[key] = true
-		pass.Reportf(pos, format, args...)
+		if site.conv != nil {
+			pass.Reportf(site.pos, "conversion to %s in fixed-point hot path", site.conv)
+		} else {
+			pass.Reportf(site.pos, "float arithmetic (%s) in fixed-point hot path", site.op)
+		}
 	}
-	isFloat := func(e ast.Expr) bool {
-		return isFloatType(pass.Info.Types[e].Type)
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				if arithmeticOp(n.Op) && (isFloat(n.X) || isFloat(n.Y)) {
-					report(n.OpPos, "float arithmetic (%s) in fixed-point hot path", n.Op)
-				}
-			case *ast.UnaryExpr:
-				if (n.Op == token.SUB || n.Op == token.ADD) && isFloat(n.X) {
-					report(n.OpPos, "float arithmetic (%s) in fixed-point hot path", n.Op)
-				}
-			case *ast.AssignStmt:
-				if arithmeticAssign(n.Tok) {
-					for _, lhs := range n.Lhs {
-						if isFloat(lhs) {
-							report(n.TokPos, "float arithmetic (%s) in fixed-point hot path", n.Tok)
-							break
-						}
-					}
-				}
-			case *ast.CallExpr:
-				tv, ok := pass.Info.Types[n.Fun]
-				if ok && tv.IsType() && isFloatType(tv.Type) && len(n.Args) == 1 {
-					report(n.Lparen, "conversion to %s in fixed-point hot path", tv.Type)
-				}
-			}
-			return true
-		})
-	}
-}
-
-func arithmeticOp(op token.Token) bool {
-	switch op {
-	case token.ADD, token.SUB, token.MUL, token.QUO:
-		return true
-	}
-	return false
-}
-
-func arithmeticAssign(tok token.Token) bool {
-	switch tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		return true
-	}
-	return false
-}
-
-func isFloatType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0 && !strings.Contains(b.Name(), "complex")
 }

@@ -1,8 +1,8 @@
 // Package flow is a lightweight per-function control-flow and dataflow
 // engine built only on the standard library's go/ast and go/types — the
 // substrate for the analyzers that must see across branches and loops
-// (warhazard's preservation-interval tracking, reaching definitions)
-// where a plain AST walk cannot.
+// (warhazard's preservation intervals, lockorder's held locks, goleak's
+// closed channels) where a plain AST walk cannot.
 //
 // A Graph is a set of basic blocks over the *statements and control
 // expressions* of one function body: compound statements are decomposed,

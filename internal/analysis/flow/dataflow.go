@@ -9,9 +9,14 @@ package flow
 // transfer maps a block's entry fact to its exit fact and must not
 // mutate its input.
 //
+// The analyses here use nil as bottom: join copies the first fact to
+// reach a block and reports a change, so the block is processed even
+// when that fact is empty, and a block whose entry fact is still nil
+// after the solve is one no path reaches.
+//
 // The solver terminates for any monotone transfer over a finite-height
 // join semilattice — the shape every analysis in this repo uses
-// (finite sets of objects/definitions under union-like joins).
+// (finite sets of objects under union- or intersection-like joins).
 func Forward[S any](
 	g *Graph,
 	boundary S,

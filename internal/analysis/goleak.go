@@ -53,18 +53,11 @@ type chanIndex struct {
 
 func runGoleak(mp *ModulePass) {
 	idx := buildChanIndex(mp)
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				checkCloseDiscipline(mp, pkg, fd)
-				checkHotpathSends(mp, pkg, fd, idx)
-				checkSpawns(mp, pkg, fd, idx)
-			}
-		}
+	t := mp.table()
+	for _, s := range t.funcs {
+		checkCloseDiscipline(mp, s)
+		checkHotpathSends(mp, s, idx)
+		checkSpawns(mp, t, s, idx)
 	}
 }
 
@@ -131,46 +124,33 @@ func isChanType(pkg *Package, e ast.Expr) bool {
 // CFG: close(ch) adds the channel to the set, reassigning the channel
 // variable removes it (a fresh channel is open). A close or send that a
 // prior close reaches is a guaranteed panic on that path.
-func checkCloseDiscipline(mp *ModulePass, pkg *Package, fd *ast.FuncDecl) {
-	g := flow.Build(fd.Body)
-	entry := map[*flow.Block]map[types.Object]bool{}
-	entry[g.Entry] = map[types.Object]bool{}
-	work := []*flow.Block{g.Entry}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		out := cloneSet(entry[b])
-		for _, n := range b.Nodes {
-			closedTransfer(pkg, n, out, nil)
-		}
-		for _, s := range b.Succs {
-			cur, seen := entry[s]
-			if !seen {
-				entry[s] = cloneSet(out)
-				work = append(work, s)
-				continue
+func checkCloseDiscipline(mp *ModulePass, s *funcSummary) {
+	pkg := s.pkg
+	g := flow.Build(s.decl.Body)
+	entry := flow.Forward(g,
+		map[types.Object]bool{},
+		func() map[types.Object]bool { return nil }, // nil: no path reaches the block yet
+		func(dst, src map[types.Object]bool) (map[types.Object]bool, bool) {
+			if dst == nil {
+				return cloneSet(src), true
 			}
-			changed := false
-			for k := range out {
-				if !cur[k] {
-					cur[k] = true
-					changed = true
-				}
+			return dst, unionInto(dst, src)
+		},
+		func(b *flow.Block, in map[types.Object]bool) map[types.Object]bool {
+			out := cloneSet(in)
+			for _, n := range b.Nodes {
+				closedTransfer(pkg, n, out, nil)
 			}
-			if changed {
-				work = append(work, s)
-			}
-		}
-	}
+			return out
+		})
 	pass := mp.Pass(pkg)
 	for _, b := range g.Blocks {
-		st, ok := entry[b]
-		if !ok {
-			continue // unreachable
+		closed := entry[b]
+		if closed == nil {
+			continue // no path reaches the block
 		}
-		out := cloneSet(st)
 		for _, n := range b.Nodes {
-			closedTransfer(pkg, n, out, pass)
+			closedTransfer(pkg, n, closed, pass)
 		}
 	}
 }
@@ -252,13 +232,13 @@ func hasIndexStep(e ast.Expr) bool {
 
 // checkHotpathSends flags sends inside //iprune:hotpath functions on
 // channels nothing in the module receives from.
-func checkHotpathSends(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, idx *chanIndex) {
-	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok || !mp.Dirs.ObjHas(fn, "hotpath") {
+func checkHotpathSends(mp *ModulePass, s *funcSummary, idx *chanIndex) {
+	if !mp.Dirs.ObjHas(s.fn, "hotpath") {
 		return
 	}
+	pkg := s.pkg
 	pass := mp.Pass(pkg)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(s.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -281,14 +261,15 @@ func checkHotpathSends(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, idx *chan
 
 // checkSpawns verifies every go statement in the function spawns a body
 // with a provably reachable termination path.
-func checkSpawns(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, idx *chanIndex) {
+func checkSpawns(mp *ModulePass, t *funcTable, s *funcSummary, idx *chanIndex) {
+	pkg := s.pkg
 	pass := mp.Pass(pkg)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(s.decl.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		body, alias := spawnedBody(mp, pkg, gs)
+		body, alias := spawnedBody(t, pkg, gs)
 		if body == nil {
 			return true // dynamic target: nothing provable, stay silent
 		}
@@ -302,7 +283,7 @@ func checkSpawns(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, idx *chanIndex)
 // callee in the module. For the latter, channel-typed parameters are
 // aliased to the argument objects at the spawn site so close evidence
 // transfers through the call.
-func spawnedBody(mp *ModulePass, pkg *Package, gs *ast.GoStmt) (*ast.BlockStmt, map[types.Object]types.Object) {
+func spawnedBody(t *funcTable, pkg *Package, gs *ast.GoStmt) (*ast.BlockStmt, map[types.Object]types.Object) {
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		return lit.Body, nil
 	}
@@ -310,8 +291,8 @@ func spawnedBody(mp *ModulePass, pkg *Package, gs *ast.GoStmt) (*ast.BlockStmt, 
 	if fn == nil || interfaceMethod(fn) {
 		return nil, nil
 	}
-	_, decl := funcDeclOf(mp, fn)
-	if decl == nil || decl.Body == nil {
+	callee, ok := t.index[fn]
+	if !ok {
 		return nil, nil
 	}
 	alias := map[types.Object]types.Object{}
@@ -325,24 +306,7 @@ func spawnedBody(mp *ModulePass, pkg *Package, gs *ast.GoStmt) (*ast.BlockStmt, 
 			alias[param] = argObj
 		}
 	}
-	return decl.Body, alias
-}
-
-// funcDeclOf finds the declaration of fn anywhere in the module.
-func funcDeclOf(mp *ModulePass, fn *types.Func) (*Package, *ast.FuncDecl) {
-	for _, pkg := range mp.Pkgs {
-		if pkg.Types != fn.Pkg() {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && pkg.Info.Defs[fd.Name] == fn {
-					return pkg, fd
-				}
-			}
-		}
-	}
-	return nil, nil
+	return callee.decl.Body, alias
 }
 
 // checkTermination reports loops in a spawned body that can never exit.

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // HotAlloc flags heap-allocating constructs inside loops of functions
 // marked //iprune:hotpath: make/new/append calls, map composite
 // literals, and closures. These are the per-inference inner kernels the
@@ -14,69 +9,32 @@ import (
 // the site with //iprune:allow-alloc <reason> when the allocation is
 // provably amortized (e.g. append into a slice sized up front).
 var HotAlloc = &Analyzer{
-	Name:  "hotalloc",
-	Doc:   "no allocations inside loops of //iprune:hotpath functions",
-	Allow: "allow-alloc",
-	Scope: func(path string) bool { return true },
-	Run:   runHotAlloc,
+	Name:      "hotalloc",
+	Doc:       "no allocations inside loops of //iprune:hotpath functions",
+	Allow:     "allow-alloc",
+	Scope:     func(path string) bool { return true },
+	RunModule: runHotAlloc,
 }
 
-func runHotAlloc(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !pass.FuncHas(fd, "hotpath") {
-				continue
+// runHotAlloc reports the allocation sites of the function table that
+// sit inside a loop of a hotpath function: allocflow's zero-length
+// chain. A loop's header counts at the depth around the loop, and a
+// closure's body at the depth the closure is created at.
+func runHotAlloc(mp *ModulePass) {
+	for _, s := range mp.table().funcs {
+		if !mp.Dirs.ObjHas(s.fn, "hotpath") {
+			continue
+		}
+		pass := mp.Pass(s.pkg)
+		for _, a := range s.allocs {
+			switch {
+			case a.depth == 0:
+				continue // once per call: amortized
+			case a.what == "closure" || a.what == "map literal":
+				pass.Reportf(a.pos, "%s allocated in hot loop", a.what)
+			default:
+				pass.Reportf(a.pos, "%s in hot loop (preallocate outside the loop)", a.what)
 			}
-			checkHotBody(pass, fd.Body, 0)
 		}
 	}
-}
-
-// checkHotBody walks a statement tree tracking loop depth; allocation
-// sites at depth > 0 are reported. Closure bodies keep the depth of the
-// loop they are created in: the closure runs (at least) as often as it
-// is allocated.
-func checkHotBody(pass *Pass, n ast.Node, depth int) {
-	ast.Inspect(n, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.ForStmt:
-			if node.Init != nil {
-				checkHotBody(pass, node.Init, depth)
-			}
-			checkHotBody(pass, node.Body, depth+1)
-			return false
-		case *ast.RangeStmt:
-			checkHotBody(pass, node.Body, depth+1)
-			return false
-		case *ast.FuncLit:
-			if depth > 0 {
-				pass.Reportf(node.Pos(), "closure allocated in hot loop")
-			}
-			checkHotBody(pass, node.Body, depth)
-			return false
-		case *ast.CallExpr:
-			if depth == 0 {
-				return true
-			}
-			if id, ok := node.Fun.(*ast.Ident); ok {
-				if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "make", "new", "append":
-						pass.Reportf(node.Pos(), "%s in hot loop (preallocate outside the loop)", b.Name())
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if depth == 0 {
-				return true
-			}
-			if t := pass.Info.Types[node].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					pass.Reportf(node.Pos(), "map literal allocated in hot loop")
-				}
-			}
-		}
-		return true
-	})
 }

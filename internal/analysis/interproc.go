@@ -11,16 +11,17 @@ import (
 // invariants interprocedurally: a //iprune:hotpath function that *calls*
 // a helper which (possibly transitively) performs float arithmetic or
 // allocates has exactly the same problem as one that does so inline —
-// the per-package analyzers just cannot see it, because the offending
+// the syntactic analyzers just cannot see it, because the offending
 // construct lives in another function or another package.
 //
-// Both passes share one machinery: a summary is computed for every
-// function declaration in the module (does its own body use floats /
-// allocate, ignoring sites blessed by allow-* directives; which
-// module-internal functions does it statically call, and from inside a
-// loop or not), the summaries are closed under the call graph to a
-// fixpoint, and then every call edge leaving a hotpath function is
-// checked against the callee's closure.
+// Every module analyzer of a run reads one function table (funcTable):
+// one walk over the module's declarations records each function's float
+// sites, allocation sites (with loop depth) and static module-internal
+// call edges (with loop depth), plus the float sites of package-level
+// declarations. floatpurity and hotalloc report sites straight from it;
+// floatflow and allocflow close each function's first unsuppressed site
+// under the call graph to a fixpoint and check every call edge leaving
+// a hotpath function against the callee's closure.
 //
 // Interface-method calls are devirtualized by class-hierarchy analysis
 // restricted to interfaces *defined in this module*: the call fans out
@@ -34,7 +35,7 @@ import (
 // A function carrying a func-level allow-float / allow-alloc blessing
 // is an audited boundary: its own sites are exempt *and* its callees'
 // sites do not propagate through it. Without that rule, devirtualizing
-// a blessed wrapper (obs.StepClock.Emit) would re-surface everything
+// a blessed wrapper (obs.EnergyClock.Emit) would re-surface everything
 // behind it at every hot call site the blessing already vouched for.
 //
 // FloatFlow reports ANY call from a hotpath function to a float-reaching
@@ -79,25 +80,37 @@ type callEdge struct {
 	via    *types.Func
 }
 
-// ifaceCall is one interface-method call site awaiting devirtualization.
-type ifaceCall struct {
-	method *types.Func
-	pos    token.Pos
-	inLoop bool
+// floatSite is one float operation or conversion: conv is the float
+// type converted to, or nil for arithmetic with operator op.
+type floatSite struct {
+	pkg  *Package
+	pos  token.Pos
+	op   token.Token
+	conv types.Type
 }
 
-// funcSummary is what the fixpoint knows about one function declaration.
+// allocSite is one allocation inside a function body: what is "make",
+// "new", "append", "map literal" or "closure", and depth counts the
+// loop bodies around the site.
+type allocSite struct {
+	pos   token.Pos
+	depth int
+	what  string
+}
+
+// funcSummary is what the table knows about one function declaration.
 type funcSummary struct {
 	fn   *types.Func
 	pkg  *Package
 	decl *ast.FuncDecl
 
+	allocs       []allocSite
 	selfFloat    token.Pos // first unsuppressed float site, or NoPos
 	selfAlloc    token.Pos // first unsuppressed allocation site, or NoPos
 	blessedFloat bool      // func-level allow-float: audited boundary
 	blessedAlloc bool      // func-level allow-alloc: audited boundary
 	edges        []callEdge
-	ifaceCalls   []ifaceCall
+	ifaceCalls   []callEdge // interface-method calls; via holds the method
 
 	// Fixpoint results: the witness site and the call chain (excluding
 	// this function) leading to it. floatSite/allocSite == NoPos means
@@ -108,50 +121,74 @@ type funcSummary struct {
 	allocPath []*types.Func
 }
 
-// summarize builds and closes the summaries for every function
-// declaration across the module's packages.
-func summarize(mp *ModulePass) ([]*funcSummary, map[*types.Func]*funcSummary) {
-	var order []*funcSummary
-	index := map[*types.Func]*funcSummary{}
-	for _, pkg := range mp.Pkgs {
+// funcTable is one run's function declarations with bodies, in package,
+// file and source order, and every float site of the run's packages.
+// Run and RunOne build it the first time a module analyzer asks for it
+// (ModulePass.table); every module analyzer of the run then reads the
+// same table, devirtualizer and float/alloc closure, and none changes
+// what they record.
+type funcTable struct {
+	pkgs  []*Package
+	dirs  *Directives
+	built bool
+
+	funcs  []*funcSummary
+	index  map[*types.Func]*funcSummary
+	floats []floatSite // file and visit order, package level included
+	dv     *devirtualizer
+}
+
+// build walks every declaration of every package once, resolves the
+// interface calls and closes the float/alloc summaries.
+func (t *funcTable) build() {
+	t.built = true
+	t.index = map[*types.Func]*funcSummary{}
+	for _, pkg := range t.pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				var s *funcSummary
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						s = &funcSummary{fn: fn, pkg: pkg, decl: fd,
+							blessedFloat: t.dirs.ObjHas(fn, "allow-float"),
+							blessedAlloc: t.dirs.ObjHas(fn, "allow-alloc")}
+						t.funcs = append(t.funcs, s)
+						t.index[fn] = s
+					}
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				s := &funcSummary{fn: fn, pkg: pkg, decl: fd}
-				s.build(mp.Dirs)
-				order = append(order, s)
-				index[fn] = s
+				t.walk(pkg, decl, s)
 			}
 		}
 	}
-	devirtualize(mp, order, index)
-	propagate(order, index)
-	return order, index
+	t.dv = newDevirtualizer(t.pkgs, t.index)
+	for _, s := range t.funcs {
+		for _, ic := range s.ifaceCalls {
+			for _, impl := range t.dv.resolve(ic.via) {
+				e := ic
+				e.callee = impl
+				s.edges = append(s.edges, e)
+			}
+		}
+	}
+	propagate(t.funcs, t.index)
 }
 
 // devirtualizer resolves interface-method calls to the module types
 // implementing them via class-hierarchy analysis (see the package
-// comment for the scoping rules). It is shared by the interprocedural
-// flow passes and the regionbudget analyzer so every pass prices the
-// same devirtualized call graph.
+// comment for the scoping rules). The function table owns the one
+// devirtualizer of a run, so every pass prices the same devirtualized
+// call graph.
 type devirtualizer struct {
 	pkgs       []*Package
 	modulePkgs map[*types.Package]bool
-	hasBody    func(*types.Func) bool
+	index      map[*types.Func]*funcSummary
 	memo       map[*types.Func][]*types.Func
 }
 
-// newDevirtualizer builds a resolver over the module's packages; hasBody
-// filters out implementations (promoted methods, externals) the caller
+// newDevirtualizer builds a resolver over the module's packages; index
+// filters out implementations (promoted methods, externals) the table
 // has no summary for.
-func newDevirtualizer(pkgs []*Package, hasBody func(*types.Func) bool) *devirtualizer {
+func newDevirtualizer(pkgs []*Package, index map[*types.Func]*funcSummary) *devirtualizer {
 	modulePkgs := make(map[*types.Package]bool, len(pkgs))
 	for _, pkg := range pkgs {
 		if pkg.Types != nil {
@@ -161,7 +198,7 @@ func newDevirtualizer(pkgs []*Package, hasBody func(*types.Func) bool) *devirtua
 	return &devirtualizer{
 		pkgs:       pkgs,
 		modulePkgs: modulePkgs,
-		hasBody:    hasBody,
+		index:      index,
 		memo:       map[*types.Func][]*types.Func{},
 	}
 }
@@ -216,7 +253,7 @@ func (dv *devirtualizer) resolve(m *types.Func) []*types.Func {
 			if !ok || seen[fn] {
 				continue
 			}
-			if !dv.hasBody(fn) {
+			if _, ok := dv.index[fn]; !ok {
 				continue // promoted from outside the module: no summary
 			}
 			seen[fn] = true
@@ -230,128 +267,131 @@ func (dv *devirtualizer) resolve(m *types.Func) []*types.Func {
 	return impls
 }
 
-// devirtualize resolves the recorded interface-method call sites into
-// concrete call edges.
-func devirtualize(mp *ModulePass, order []*funcSummary, index map[*types.Func]*funcSummary) {
-	dv := newDevirtualizer(mp.Pkgs, func(fn *types.Func) bool {
-		_, ok := index[fn]
-		return ok
-	})
-	for _, s := range order {
-		for _, ic := range s.ifaceCalls {
-			for _, impl := range dv.resolve(ic.method) {
-				s.edges = append(s.edges, callEdge{callee: impl, pos: ic.pos, inLoop: ic.inLoop, via: ic.method})
-			}
-		}
-	}
-}
-
-// build walks one function body collecting unsuppressed float and
-// allocation sites and all static module-internal call edges. Function
-// literals fold into the enclosing declaration (they inherit its
-// directives and run in its frame); loop depth carries into them, since
-// a closure created in a loop runs at least as often as the loop body.
-func (s *funcSummary) build(dirs *Directives) {
-	pkg := s.pkg
+// walk records the float sites of one declaration and, when s is its
+// summary, the allocation sites and call edges of its body. It visits
+// what ast.Inspect visits, in the same order. A node's loop depth counts
+// the loop bodies around it, so a loop's header (init, condition, post,
+// range expression) sits at the depth enclosing the loop, and a
+// closure's body at the depth the closure is created at: the closure
+// runs at least as often as it is allocated. Function literals fold
+// into the enclosing declaration; they inherit its directives.
+func (t *funcTable) walk(pkg *Package, decl ast.Decl, s *funcSummary) {
 	info := pkg.Info
-	s.blessedFloat = dirs.ObjHas(s.fn, "allow-float")
-	s.blessedAlloc = dirs.ObjHas(s.fn, "allow-alloc")
-	blessedFloat, blessedAlloc := s.blessedFloat, s.blessedAlloc
-	suppressed := func(pos token.Pos, allow string) bool {
-		p := pkg.Fset.Position(pos)
-		return dirs.FileHas(p.Filename, allow) ||
-			dirs.LineHas(p.Filename, p.Line, allow) ||
-			dirs.LineHas(p.Filename, p.Line-1, allow)
-	}
-	noteFloat := func(pos token.Pos) {
-		if s.selfFloat == token.NoPos && !blessedFloat && !suppressed(pos, "allow-float") {
+	isFloat := func(e ast.Expr) bool { return isFloatType(info.Types[e].Type) }
+	noteFloat := func(pos token.Pos, op token.Token, conv types.Type) {
+		t.floats = append(t.floats, floatSite{pkg: pkg, pos: pos, op: op, conv: conv})
+		if s != nil && s.selfFloat == token.NoPos && !t.dirs.allows(pkg.Fset.Position(pos), s.fn, "allow-float") {
 			s.selfFloat = pos
 		}
 	}
-	noteAlloc := func(pos token.Pos) {
-		if s.selfAlloc == token.NoPos && !blessedAlloc && !suppressed(pos, "allow-alloc") {
+	noteAlloc := func(pos token.Pos, depth int, what string) {
+		if s == nil {
+			return // package-level allocations run once
+		}
+		s.allocs = append(s.allocs, allocSite{pos: pos, depth: depth, what: what})
+		if s.selfAlloc == token.NoPos && !t.dirs.allows(pkg.Fset.Position(pos), s.fn, "allow-alloc") {
 			s.selfAlloc = pos
 		}
 	}
-	isFloat := func(e ast.Expr) bool { return isFloatType(info.Types[e].Type) }
-
-	var walk func(n ast.Node, depth int)
-	walk = func(n ast.Node, depth int) {
-		ast.Inspect(n, func(node ast.Node) bool {
-			switch node := node.(type) {
+	var visit func(root ast.Node, depth int)
+	visit = func(root ast.Node, depth int) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
 			case *ast.ForStmt:
-				if node.Init != nil {
-					walk(node.Init, depth)
+				for _, h := range [...]ast.Node{n.Init, n.Cond, n.Post} {
+					if h != nil {
+						visit(h, depth)
+					}
 				}
-				if node.Cond != nil {
-					walk(node.Cond, depth)
-				}
-				if node.Post != nil {
-					walk(node.Post, depth)
-				}
-				walk(node.Body, depth+1)
+				visit(n.Body, depth+1)
 				return false
 			case *ast.RangeStmt:
-				if node.X != nil {
-					walk(node.X, depth)
+				for _, h := range [...]ast.Node{n.Key, n.Value, n.X} {
+					if h != nil {
+						visit(h, depth)
+					}
 				}
-				walk(node.Body, depth+1)
-				return false
-			case *ast.FuncLit:
-				noteAlloc(node.Pos()) // the closure value itself allocates
-				walk(node.Body, depth)
+				visit(n.Body, depth+1)
 				return false
 			case *ast.BinaryExpr:
-				if arithmeticOp(node.Op) && (isFloat(node.X) || isFloat(node.Y)) {
-					noteFloat(node.OpPos)
+				if arithmeticOp(n.Op) && (isFloat(n.X) || isFloat(n.Y)) {
+					noteFloat(n.OpPos, n.Op, nil)
 				}
 			case *ast.UnaryExpr:
-				if (node.Op == token.SUB || node.Op == token.ADD) && isFloat(node.X) {
-					noteFloat(node.OpPos)
+				if (n.Op == token.SUB || n.Op == token.ADD) && isFloat(n.X) {
+					noteFloat(n.OpPos, n.Op, nil)
 				}
 			case *ast.AssignStmt:
-				if arithmeticAssign(node.Tok) {
-					for _, lhs := range node.Lhs {
+				if arithmeticAssign(n.Tok) {
+					for _, lhs := range n.Lhs {
 						if isFloat(lhs) {
-							noteFloat(node.TokPos)
+							noteFloat(n.TokPos, n.Tok, nil)
 							break
 						}
 					}
 				}
+			case *ast.FuncLit:
+				noteAlloc(n.Pos(), depth, "closure")
 			case *ast.CompositeLit:
-				if t := info.Types[node].Type; t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok {
-						noteAlloc(node.Pos())
+				if typ := info.Types[n].Type; typ != nil {
+					if _, ok := typ.Underlying().(*types.Map); ok {
+						noteAlloc(n.Pos(), depth, "map literal")
 					}
 				}
 			case *ast.CallExpr:
-				if tv, ok := info.Types[node.Fun]; ok && tv.IsType() {
-					if isFloatType(tv.Type) && len(node.Args) == 1 {
-						noteFloat(node.Lparen)
+				if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
+					if isFloatType(tv.Type) && len(n.Args) == 1 {
+						noteFloat(n.Lparen, token.ILLEGAL, tv.Type)
 					}
-					return true // conversion, not a call
+					break // conversion, not a call
 				}
-				if id, ok := node.Fun.(*ast.Ident); ok {
+				if id, ok := n.Fun.(*ast.Ident); ok {
 					if b, ok := info.Uses[id].(*types.Builtin); ok {
 						switch b.Name() {
 						case "make", "new", "append":
-							noteAlloc(node.Pos())
+							noteAlloc(n.Pos(), depth, b.Name())
 						}
-						return true
+						break
 					}
 				}
-				if callee := staticCallee(info, node); callee != nil {
+				if callee := staticCallee(info, n); callee != nil && s != nil {
+					e := callEdge{callee: callee, pos: n.Pos(), inLoop: depth > 0}
 					if interfaceMethod(callee) {
-						s.ifaceCalls = append(s.ifaceCalls, ifaceCall{method: callee, pos: node.Pos(), inLoop: depth > 0})
+						e.callee, e.via = nil, callee
+						s.ifaceCalls = append(s.ifaceCalls, e)
 					} else {
-						s.edges = append(s.edges, callEdge{callee: callee, pos: node.Pos(), inLoop: depth > 0})
+						s.edges = append(s.edges, e)
 					}
 				}
 			}
 			return true
 		})
 	}
-	walk(s.decl.Body, 0)
+	visit(decl, 0)
+}
+
+func arithmeticOp(op token.Token) bool {
+	switch op {
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+		return true
+	}
+	return false
+}
+
+func arithmeticAssign(tok token.Token) bool {
+	switch tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		return true
+	}
+	return false
+}
+
+func isFloatType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0 && !strings.Contains(b.Name(), "complex")
 }
 
 // interfaceMethod reports whether fn is declared on an interface type —
@@ -398,14 +438,14 @@ func propagate(order []*funcSummary, index map[*types.Func]*funcSummary) {
 }
 
 func runFloatFlow(mp *ModulePass) {
-	order, index := summarize(mp)
-	for _, s := range order {
+	t := mp.table()
+	for _, s := range t.funcs {
 		if !mp.Dirs.ObjHas(s.fn, "hotpath") {
 			continue
 		}
 		pass := mp.Pass(s.pkg)
 		for _, e := range s.edges {
-			c, ok := index[e.callee]
+			c, ok := t.index[e.callee]
 			if !ok || c.floatSite == token.NoPos {
 				continue
 			}
@@ -416,8 +456,8 @@ func runFloatFlow(mp *ModulePass) {
 }
 
 func runAllocFlow(mp *ModulePass) {
-	order, index := summarize(mp)
-	for _, s := range order {
+	t := mp.table()
+	for _, s := range t.funcs {
 		if !mp.Dirs.ObjHas(s.fn, "hotpath") {
 			continue
 		}
@@ -426,7 +466,7 @@ func runAllocFlow(mp *ModulePass) {
 			if !e.inLoop {
 				continue // once-per-invocation calls are amortized
 			}
-			c, ok := index[e.callee]
+			c, ok := t.index[e.callee]
 			if !ok || c.allocSite == token.NoPos {
 				continue
 			}

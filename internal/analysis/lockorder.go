@@ -51,7 +51,8 @@ var LockOrder = &Analyzer{
 
 // lockSets is the dataflow fact: the may-held set (union join — drives
 // order edges, conservatively) and the must-held set (intersection join
-// — drives re-acquisition reports, precisely).
+// — drives re-acquisition reports, precisely). The zero value, with nil
+// sets, is the entry fact of a block no path has reached yet.
 type lockSets struct {
 	may  map[types.Object]bool
 	must map[types.Object]bool
@@ -86,9 +87,7 @@ type callSite struct {
 
 // lockFunc is the per-function lockorder summary.
 type lockFunc struct {
-	fn   *types.Func
-	pkg  *Package
-	decl *ast.FuncDecl
+	*funcSummary
 
 	acquires []acqSite
 	calls    []callSite
@@ -112,26 +111,14 @@ type orderWitness struct {
 }
 
 func runLockOrder(mp *ModulePass) {
-	dv := lockOrderDevirtualizer(mp)
-	var order []*lockFunc
-	index := map[*types.Func]*lockFunc{}
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				lf := &lockFunc{fn: fn, pkg: pkg, decl: fd}
-				lf.analyze(pkg, dv)
-				order = append(order, lf)
-				index[fn] = lf
-			}
-		}
+	t := mp.table()
+	order := make([]*lockFunc, 0, len(t.funcs))
+	index := make(map[*types.Func]*lockFunc, len(t.funcs))
+	for _, s := range t.funcs {
+		lf := &lockFunc{funcSummary: s}
+		lf.analyze(t.dv)
+		order = append(order, lf)
+		index[s.fn] = lf
 	}
 	closeLockReach(order, index)
 
@@ -204,24 +191,6 @@ func runLockOrder(mp *ModulePass) {
 	}
 }
 
-// lockOrderDevirtualizer builds the interface-call resolver over the
-// module's function declarations.
-func lockOrderDevirtualizer(mp *ModulePass) *devirtualizer {
-	bodies := map[*types.Func]bool{}
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						bodies[fn] = true
-					}
-				}
-			}
-		}
-	}
-	return newDevirtualizer(mp.Pkgs, func(fn *types.Func) bool { return bodies[fn] })
-}
-
 // closeLockReach closes each function's acquired-lock set under the
 // call graph, recording one witness path per lock. Iteration order is
 // fixed so paths are deterministic.
@@ -256,73 +225,48 @@ func closeLockReach(order []*lockFunc, index map[*types.Func]*lockFunc) {
 
 // analyze runs the lock-set dataflow over one function body and records
 // acquisition and call sites with their entry lock sets.
-func (lf *lockFunc) analyze(pkg *Package, dv *devirtualizer) {
+func (lf *lockFunc) analyze(dv *devirtualizer) {
 	g := flow.Build(lf.decl.Body)
-	entry := map[*flow.Block]lockSets{}
-	universe := lf.collectLocks(pkg)
-
-	bottom := func() lockSets {
-		// Unvisited blocks: may = ∅, must = ⊤ (everything), so the
-		// intersection join is the identity until a real path arrives.
-		must := make(map[types.Object]bool, len(universe))
-		for _, l := range universe {
-			must[l] = true
-		}
-		return lockSets{may: map[types.Object]bool{}, must: must}
-	}
-	seen := map[*flow.Block]bool{}
-	entry[g.Entry] = lockSets{may: map[types.Object]bool{}, must: map[types.Object]bool{}}
-	seen[g.Entry] = true
-	work := []*flow.Block{g.Entry}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		out := entry[b].clone()
-		for _, n := range b.Nodes {
-			lf.transfer(pkg, n, &out, false)
-		}
-		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
-				entry[s] = bottom()
+	entry := flow.Forward(g,
+		lockSets{may: map[types.Object]bool{}, must: map[types.Object]bool{}},
+		func() lockSets { return lockSets{} },
+		joinLockSets,
+		func(b *flow.Block, in lockSets) lockSets {
+			out := in.clone()
+			for _, n := range b.Nodes {
+				lf.transfer(n, &out, false)
 			}
-			if joinLockSets(entry[s], out) {
-				work = append(work, s)
-			}
-		}
-	}
+			return out
+		})
 
 	// Replay each block once against its fixed entry state to record
 	// sites exactly once, in block/source order.
 	for _, b := range g.Blocks {
-		st, ok := entry[b]
-		if !ok {
-			continue // unreachable
+		st := entry[b]
+		if st.may == nil {
+			continue // no path reaches the block
 		}
-		out := st.clone()
 		for _, n := range b.Nodes {
-			lf.transfer(pkg, n, &out, true)
+			lf.transfer(n, &st, true)
 		}
 	}
-	lf.resolveCalls(pkg, dv)
+	lf.resolveCalls(dv)
 }
 
-// joinLockSets merges src into dst (may ∪, must ∩); reports change.
-func joinLockSets(dst, src lockSets) bool {
-	changed := false
-	for k := range src.may {
-		if !dst.may[k] {
-			dst.may[k] = true
-			changed = true
-		}
+// joinLockSets merges src into dst (may ∪, must ∩); reports change. The
+// first fact to reach a block is copied whole.
+func joinLockSets(dst, src lockSets) (lockSets, bool) {
+	if dst.may == nil {
+		return src.clone(), true
 	}
+	changed := unionInto(dst.may, src.may)
 	for k := range dst.must {
 		if !src.must[k] {
 			delete(dst.must, k)
 			changed = true
 		}
 	}
-	return changed
+	return dst, changed
 }
 
 // transfer interprets one CFG node: lock operations update the sets, and
@@ -330,7 +274,8 @@ func joinLockSets(dst, src lockSets) bool {
 // state in force just before them. Function literals are skipped — their
 // bodies run on another goroutine or at defer time with their own lock
 // discipline.
-func (lf *lockFunc) transfer(pkg *Package, n ast.Node, st *lockSets, record bool) {
+func (lf *lockFunc) transfer(n ast.Node, st *lockSets, record bool) {
+	pkg := lf.pkg
 	switch n.(type) {
 	case *ast.RangeStmt:
 		return // per-iteration binding only; the body has its own blocks
@@ -389,7 +334,7 @@ func (lf *lockFunc) transfer(pkg *Package, n ast.Node, st *lockSets, record bool
 
 // resolveCalls devirtualizes the interface-method call sites recorded by
 // transfer into concrete callees (one callSite per implementation).
-func (lf *lockFunc) resolveCalls(pkg *Package, dv *devirtualizer) {
+func (lf *lockFunc) resolveCalls(dv *devirtualizer) {
 	resolved := lf.calls[:0]
 	for _, c := range lf.calls {
 		if c.callee != nil {
@@ -411,27 +356,16 @@ func cloneSet(s map[types.Object]bool) map[types.Object]bool {
 	return c
 }
 
-// collectLocks returns every lock object referenced in the function
-// body — the must-set universe for the intersection join.
-func (lf *lockFunc) collectLocks(pkg *Package) []types.Object {
-	seen := map[types.Object]bool{}
-	var locks []types.Object
-	ast.Inspect(lf.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// unionInto adds src's members to dst and reports whether dst grew.
+func unionInto(dst, src map[types.Object]bool) bool {
+	changed := false
+	for k := range src {
+		if !dst[k] {
+			dst[k] = true
+			changed = true
 		}
-		fn := staticCallee(pkg.Info, call)
-		if fn == nil || lockMethodKind(fn) == lockNone {
-			return true
-		}
-		if lock, ok := lockReceiver(pkg, call); ok && !seen[lock] {
-			seen[lock] = true
-			locks = append(locks, lock)
-		}
-		return true
-	})
-	return locks
+	}
+	return changed
 }
 
 type lockKind int

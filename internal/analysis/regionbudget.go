@@ -246,11 +246,10 @@ func (s regSummary) worst() rcost {
 // rbFunc is one function's memoized interprocedural summary plus the
 // provenance of its first widening to ⊤, for diagnostics.
 type rbFunc struct {
+	*funcSummary
 	sum      regSummary
 	widenPos token.Pos
 	widenWhy string
-	pkg      *Package
-	decl     *ast.FuncDecl
 }
 
 // regionAnalysis carries one whole-module regionbudget run.
@@ -264,37 +263,20 @@ type regionAnalysis struct {
 }
 
 func runRegionBudget(mp *ModulePass) {
+	t := mp.table()
 	ra := &regionAnalysis{
 		mp:    mp,
 		model: energy.Default(),
-		decls: map[*types.Func]*rbFunc{},
+		decls: make(map[*types.Func]*rbFunc, len(t.funcs)),
 		done:  map[*types.Func]bool{},
 		stack: map[*types.Func]bool{},
+		dv:    t.dv,
 	}
-	var order []*types.Func
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				ra.decls[fn] = &rbFunc{pkg: pkg, decl: fd}
-				order = append(order, fn)
-			}
-		}
+	for _, s := range t.funcs {
+		ra.decls[s.fn] = &rbFunc{funcSummary: s}
 	}
-	ra.dv = newDevirtualizer(mp.Pkgs, func(fn *types.Func) bool {
-		_, ok := ra.decls[fn]
-		return ok
-	})
-
-	for _, fn := range order {
-		ra.check(fn)
+	for _, s := range t.funcs {
+		ra.check(s.fn)
 	}
 }
 

@@ -49,3 +49,11 @@ func lineDirectives(a float64) float64 {
 	u := a - w // want `float arithmetic \(-\) in fixed-point hot path`
 	return u
 }
+
+// Package-level declarations are checked too: an initializer's float
+// arithmetic runs like any function body's.
+var width = 4.0
+
+var ratio = width / 2 // want `float arithmetic \(/\) in fixed-point hot path`
+
+var halve = func(x float64) float64 { return x / 2 } // want `float arithmetic \(/\) in fixed-point hot path`

@@ -144,3 +144,11 @@ var auditCh = make(chan int)
 func HotSendSuppressed(v int) {
 	auditCh <- v //iprune:allow-conc fixture: external consumer attaches in tests
 }
+
+// Code after a return runs on no path: its close reaches no send.
+func DeadCloseSend() {
+	ch := make(chan int, 1)
+	return
+	close(ch)
+	ch <- 1
+}

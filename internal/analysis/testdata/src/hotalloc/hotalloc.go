@@ -57,3 +57,21 @@ func nestedLoops(n int) int {
 	}
 	return s
 }
+
+// A loop's header runs as often as the code around the loop: the outer
+// range expression runs once, an inner loop's range expression and
+// condition once per outer iteration.
+//
+//iprune:hotpath
+func innerHeaders(rows [][]int) int {
+	s := 0
+	for i := range append(rows, nil) {
+		for _, x := range append(rows[i], 0) { // want `append in hot loop`
+			s += x
+		}
+		for j := 0; j < len(make([]int, i)); j++ { // want `make in hot loop`
+			s += j
+		}
+	}
+	return s
+}

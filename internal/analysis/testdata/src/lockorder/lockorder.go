@@ -144,3 +144,13 @@ func TryNoEdge() {
 	}
 	muI.Unlock()
 }
+
+var muJ sync.Mutex
+
+// Code after a return runs on no path: locking twice there is no
+// re-acquisition.
+func DeadRelock() {
+	return
+	muJ.Lock()
+	muJ.Lock()
+}

@@ -10,10 +10,7 @@
 // shift is folded back after accumulation.
 package fixed
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // FracBits is the number of fractional bits in the Q1.15 format.
 const FracBits = 15
@@ -74,45 +71,6 @@ func Mul(a, b Q15) Q15 {
 	return sat32(int32(p >> FracBits))
 }
 
-// MACAcc multiplies a and b and adds the full-precision product into a
-// 32-bit accumulator, mirroring how the LEA keeps partial sums in a wide
-// register before writing the narrowed result back. The accumulator holds
-// values with 30 fractional bits.
-func MACAcc(acc int64, a, b Q15) int64 {
-	return acc + int64(a)*int64(b)
-}
-
-// NarrowAcc converts a 30-fractional-bit accumulator back to Q1.15 with
-// rounding and saturation, applying an additional right shift (used to
-// undo per-tensor scaling).
-func NarrowAcc(acc int64, shift uint) int64r {
-	return int64r{acc, shift}
-}
-
-// int64r is a tiny helper carrying the accumulator and shift so Result can
-// round exactly once.
-type int64r struct {
-	acc   int64
-	shift uint
-}
-
-// Result performs the rounding shift and saturation.
-func (r int64r) Result() Q15 {
-	total := FracBits + r.shift
-	v := r.acc
-	if total > 0 {
-		v += 1 << (total - 1)
-		v >>= total
-	}
-	if v > One {
-		return Q15(One)
-	}
-	if v < MinVal {
-		return Q15(MinVal)
-	}
-	return Q15(v)
-}
-
 func sat32(s int32) Q15 {
 	if s > One {
 		return Q15(One)
@@ -121,23 +79,6 @@ func sat32(s int32) Q15 {
 		return Q15(MinVal)
 	}
 	return Q15(s)
-}
-
-// DotQ15 computes the saturating Q1.15 dot product of two equal-length
-// vectors using a wide accumulator, the primitive the LEA vector-MAC
-// command implements.
-//
-//iprune:hotpath
-//iprune:allow-budget vector length is a tile dimension the planner sizes to the VM buffer; CostSim prices the resulting op against the power-cycle budget dynamically
-func DotQ15(a, b []Q15) Q15 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("fixed: dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc int64
-	for i := range a {
-		acc += int64(a[i]) * int64(b[i])
-	}
-	return int64r{acc, 0}.Result()
 }
 
 // Tensor is a quantized tensor: Q1.15 data plus a power-of-two scale.

@@ -88,25 +88,6 @@ func TestAddCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestDotQ15(t *testing.T) {
-	a := []Q15{FromFloat(0.5), FromFloat(0.25), FromFloat(-0.5)}
-	b := []Q15{FromFloat(0.5), FromFloat(0.5), FromFloat(0.25)}
-	got := DotQ15(a, b).Float()
-	want := 0.5*0.5 + 0.25*0.5 - 0.5*0.25
-	if math.Abs(got-want) > 1e-4 {
-		t.Errorf("dot = %v, want %v", got, want)
-	}
-}
-
-func TestDotQ15MismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	DotQ15(make([]Q15, 2), make([]Q15, 3))
-}
-
 func TestQuantizeSliceShift(t *testing.T) {
 	src := []float32{3.5, -2.0, 0.5}
 	qt := QuantizeSlice(src)
@@ -161,15 +142,6 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNarrowAccShift(t *testing.T) {
-	// 0.5 * 0.5 accumulated once, with shift 1 applied -> 0.125.
-	acc := MACAcc(0, FromFloat(0.5), FromFloat(0.5))
-	got := NarrowAcc(acc, 1).Result().Float()
-	if math.Abs(got-0.125) > 1e-4 {
-		t.Errorf("narrow with shift = %v, want 0.125", got)
 	}
 }
 

@@ -69,14 +69,15 @@ func TestRecorderResetPreservesSnapshots(t *testing.T) {
 	}
 }
 
+// The step clock is EnergyClock with a nil Pricer: one step per event.
 func TestStepClockMonotonic(t *testing.T) {
 	r := NewRecorder()
-	c := StepClock{T: r}
+	c := EnergyClock{T: r}
 	if !c.Enabled() {
 		t.Fatal("step clock with recorder must be enabled")
 	}
 	for i := 0; i < 5; i++ {
-		c.Emit(KindPreserve, 0, int64(i), 0, 16)
+		c.Emit(KindPreserve, 0, int64(i), 0, 0, 16)
 	}
 	evs := r.Events()
 	if len(evs) != 5 {
@@ -90,14 +91,14 @@ func TestStepClockMonotonic(t *testing.T) {
 }
 
 func TestStepClockDisabled(t *testing.T) {
-	var c StepClock // zero value: nil tracer
+	var c EnergyClock // zero value: nil tracer
 	if c.Enabled() {
-		t.Error("zero StepClock must be disabled")
+		t.Error("zero EnergyClock must be disabled")
 	}
-	c.Emit(KindPreserve, 0, 0, 0, 0) // must not panic
-	c = StepClock{T: Nop{}}
+	c.Emit(KindPreserve, 0, 0, 0, 0, 0) // must not panic
+	c = EnergyClock{T: Nop{}}
 	if c.Enabled() {
-		t.Error("StepClock over Nop must be disabled")
+		t.Error("EnergyClock over Nop must be disabled")
 	}
 }
 
@@ -105,12 +106,12 @@ func TestStepClockDisabled(t *testing.T) {
 // on the hot path constructs nothing and allocates nothing.
 func TestNopZeroAlloc(t *testing.T) {
 	var tr Tracer = Nop{}
-	clk := &StepClock{T: Nop{}}
+	clk := &EnergyClock{T: Nop{}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if tr.Enabled() {
 			tr.Emit(Event{Kind: KindOpCommit})
 		}
-		clk.Emit(KindPreserve, 1, 2, 64, 64)
+		clk.Emit(KindPreserve, 1, 2, 0, 64, 64)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %.1f per op, want 0", allocs)

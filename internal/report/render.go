@@ -47,7 +47,7 @@ func RenderTable2(results []*AppResult) string {
 				parts = append(parts, fmt.Sprintf("%s x %d", k, counts[k]))
 			}
 		}
-		divLabel := diversityLabel(r.Diversity)
+		divLabel := tile.DiversityLabel(r.Diversity)
 		fmt.Fprintf(&sb, "  %-4s %-28s %5d | %5d %6d | %6d %6d | %6d %9s | %-6s\n",
 			r.App, strings.Join(parts, ", "),
 			u.SizeBytes/1024, p.SizeKB,
@@ -56,17 +56,6 @@ func RenderTable2(results []*AppResult) string {
 			divLabel, p.Diversity)
 	}
 	return sb.String()
-}
-
-func diversityLabel(cv float64) string {
-	switch {
-	case cv < 0.85:
-		return "Low"
-	case cv < 1.5:
-		return "Medium"
-	default:
-		return "High"
-	}
 }
 
 // RenderTable3 prints the pruned-model characteristics (paper Table III)

@@ -155,36 +155,3 @@ func (m *Matrix) ToDense() []float32 {
 	}
 	return out
 }
-
-// MulVec computes y = W·x in fixed point for an FC layer stored in BSR
-// (x has Cols entries at shift xShift; y gets Rows entries). The returned
-// shift is Shift+xShift, i.e. products are narrowed back to Q15 with the
-// combined scale folded out. Used by the functional engine and tests.
-//
-//iprune:hotpath
-//iprune:allow-budget row and block counts are model geometry; the FC op built on this is priced against the buffer dynamically by CostSim
-func (m *Matrix) MulVec(x []fixed.Q15) []int64 {
-	if len(x) < m.Cols {
-		panic(fmt.Sprintf("sparse: MulVec input %d < cols %d", len(x), m.Cols))
-	}
-	acc := make([]int64, m.Rows)
-	for s := 0; s < m.NNZBlocks(); s++ {
-		vals, br, bc := m.Block(s)
-		for r := 0; r < m.BM; r++ {
-			gr := br*m.BM + r
-			if gr >= m.Rows {
-				break
-			}
-			var a int64
-			for c := 0; c < m.BK; c++ {
-				gc := bc*m.BK + c
-				if gc >= m.Cols {
-					break
-				}
-				a += int64(vals[r*m.BK+c]) * int64(x[gc])
-			}
-			acc[gr] += a
-		}
-	}
-	return acc
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"iprune/internal/fixed"
 	"iprune/internal/nn"
 )
 
@@ -194,39 +193,4 @@ func TestBlockPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	m.Block(0)
-}
-
-func TestMulVecMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	rows, cols := 8, 16
-	w := denseRand(rng, rows*cols)
-	mask := nn.NewBlockMask(rows, cols, 2, 4)
-	mask.Keep[3] = false
-	mask.Keep[7] = false
-	mask.Apply(w)
-	m, err := FromDense(w, rows, cols, mask, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]fixed.Q15, cols)
-	xf := make([]float64, cols)
-	for i := range x {
-		v := rng.Float64()*1.6 - 0.8
-		x[i] = fixed.FromFloat(v)
-		xf[i] = x[i].Float()
-	}
-	acc := m.MulVec(x)
-	dense := m.ToDense()
-	scale := math.Pow(2, float64(m.Shift))
-	for r := 0; r < rows; r++ {
-		var want float64
-		for c := 0; c < cols; c++ {
-			want += float64(dense[r*cols+c]) * xf[c]
-		}
-		// acc has 30 fractional bits at combined scale 2^-Shift.
-		got := float64(acc[r]) / (1 << 30) * scale
-		if math.Abs(got-want) > 1e-3 {
-			t.Errorf("MulVec row %d = %v, want %v", r, got, want)
-		}
-	}
 }
