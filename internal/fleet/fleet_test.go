@@ -288,11 +288,49 @@ func TestNodeTimelineMonotonic(t *testing.T) {
 	}
 }
 
-// TestHubStatsMatchTrace pins that the statistics the hub folds while a
-// run emits are exactly those of the trace WriteTrace regenerates: per
-// node, the device's stats equal Collect over the node simulated again,
-// and the event counts agree with the trace. The trace itself is the
-// same at any worker count and on every call.
+// hubMatchesCollect reports how a hub device's statistics and metrics
+// differ from Collect and Fill over the same events, or "" if they
+// match: the device keeps layers, totals and the event count, and folds
+// its power cycles into its metrics rather than keeping them.
+func hubMatchesCollect(d *obs.HubDevice, evs []obs.Event) string {
+	got, want := d.Stats(), obs.Collect(evs)
+	if !reflect.DeepEqual(got.Layers, want.Layers) || got.Total != want.Total || got.Events != want.Events {
+		return fmt.Sprintf("stats %+v, Collect %+v", got, want)
+	}
+	if len(got.Cycles) != 0 {
+		return fmt.Sprintf("kept %d power cycles", len(got.Cycles))
+	}
+	if n := d.Metrics().Counter("run/power_cycles").Value(); n != float64(len(want.Cycles)) {
+		return fmt.Sprintf("run/power_cycles = %v, Collect has %d cycles", n, len(want.Cycles))
+	}
+	wantM := obs.NewMetrics()
+	want.Fill(wantM)
+	if g, w := dumpMetrics(d.Metrics()), dumpMetrics(wantM); g != w {
+		return fmt.Sprintf("metrics\n%s\nFill(Collect(events))\n%s", g, w)
+	}
+	return ""
+}
+
+// dumpMetrics renders every counter and histogram of m in registration
+// order, floats in their shortest round-trip form, so two registries
+// render alike only if they match bit for bit.
+func dumpMetrics(m *obs.Metrics) string {
+	var b strings.Builder
+	for _, c := range m.Counters() {
+		fmt.Fprintf(&b, "%s=%v\n", c.Name, c.Value())
+	}
+	for _, h := range m.Histograms() {
+		fmt.Fprintf(&b, "%s %v %v sum=%v n=%d\n", h.Name, h.Bounds, h.Counts, h.Sum, h.N)
+	}
+	return b.String()
+}
+
+// TestHubStatsMatchTrace pins that what the hub folds while a run emits
+// is exactly what the trace WriteTrace regenerates gives: per node, the
+// device's layers, totals, event count and metrics equal Collect and
+// Fill over the node simulated again, and the event counts agree with
+// the trace. The trace itself is the same at any worker count and on
+// every call.
 func TestHubStatsMatchTrace(t *testing.T) {
 	smoke, err := Load("../../examples/fleet/smoke.json")
 	if err != nil {
@@ -309,8 +347,8 @@ func TestHubStatsMatchTrace(t *testing.T) {
 			folded, layerStarts := 0, 0
 			for i, d := range rep.hub.Devices() {
 				evs := replay(rep, i)
-				if got, want := d.Stats(), obs.Collect(evs); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s: hub stats differ from Collect over the regenerated events", sc.Name, d.Name)
+				if diff := hubMatchesCollect(d, evs); diff != "" {
+					t.Errorf("%s/%s: hub differs from Collect over the regenerated events: %s", sc.Name, d.Name, diff)
 				}
 				folded += d.Stats().Events
 				for _, ev := range evs {
@@ -491,4 +529,32 @@ func FuzzParseScenario(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkFleetNodeHAR is the one-node fleet rung: one node shaped like
+// a fleet-soak HAR node (10 mW solar peak over a 7,200 s day with 3
+// clouds, 500 inferences) simulated into a Hub device. It covers the
+// node's model and schedule build, its power and cost simulation and
+// the Hub's fold, but not the accuracy probe.
+func BenchmarkFleetNodeHAR(b *testing.B) {
+	const inferences = 500
+	sc := &Scenario{
+		Name: "node", Seed: 7,
+		Nodes: []NodeSpec{{ID: "har", Model: "HAR", Inferences: inferences,
+			Solar: &SolarSpec{PeakMW: 10, DurationS: 7200, Clouds: 3, Seed: 7}}},
+	}
+	nodes, err := compile(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hub := obs.NewHub(0)
+		r, _ := simulate(nodes[0], hub.Device("har", nil))
+		hub.Close()
+		if r.Err != nil || r.Inferences != inferences {
+			b.Fatalf("node ran %d of %d inferences: %v", r.Inferences, inferences, r.Err)
+		}
+	}
+	b.ReportMetric(inferences, "inferences/op")
 }

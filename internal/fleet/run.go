@@ -172,22 +172,6 @@ func probeKeys(nodes []*node) (keys []probeKey, index map[probeKey]int) {
 	return keys, index
 }
 
-// offsetTracer shifts cost-simulator events — stamped on the per-run
-// clock that restarts at zero for every inference — onto the node's
-// global power timeline (power.Sim's OnTime+OffTime), so a node's trace
-// section is one continuous history across inferences and the power
-// simulator's own events interleave correctly.
-type offsetTracer struct {
-	t  obs.Tracer
-	dt float64
-}
-
-func (o *offsetTracer) Enabled() bool { return o.t.Enabled() }
-func (o *offsetTracer) Emit(ev obs.Event) {
-	ev.Time += o.dt
-	o.t.Emit(ev)
-}
-
 // buildSchedule constructs the accelerator-op schedule for a model, as
 // deployed (dense block masks installed).
 func buildSchedule(model string, seed int64, cfg tile.Config) ([]hawaii.Op, error) {
@@ -253,10 +237,6 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 	} else {
 		sim = power.NewSim(power.DefaultBuffer(), n.supply, n.seed)
 	}
-	// The power simulator emits on the node's global clock; keep it on
-	// the raw tracer so RunWithSim does not rebind it to the per-run
-	// tracer below.
-	sim.Trace = tr
 
 	cfg := tile.DefaultConfig()
 	ops, err := buildSchedule(r.Model, n.seed, cfg)
@@ -264,6 +244,9 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 		r.Err = err
 		return r, false
 	}
+	// One cost simulator runs every inference against the one power
+	// simulator, whose clock stamps both their events.
+	cs := &hawaii.CostSim{Cfg: cfg, Trace: tr}
 	pending := n.switches
 	for k := 0; k < n.spec.Inferences; k++ {
 		now := sim.OnTime + sim.OffTime
@@ -280,8 +263,6 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 				return r, false
 			}
 		}
-		cs := hawaii.NewCostSim(cfg)
-		cs.Trace = &offsetTracer{t: tr, dt: now}
 		res, err := cs.RunWithSim(ops, tile.Intermittent, sim)
 		r.Latency += res.Latency
 		if err != nil {

@@ -21,7 +21,6 @@ package hawaii
 import (
 	"fmt"
 
-	"iprune/internal/device"
 	"iprune/internal/energy"
 	"iprune/internal/nn"
 	"iprune/internal/obs"
@@ -48,6 +47,14 @@ type Op struct {
 	// SerialWrite marks ops whose output write cannot overlap compute
 	// (task-level preservation flushes results only at task end).
 	SerialWrite bool
+
+	// Time and Energy price one attempt of the op, and Break attributes
+	// Time to activities. RecoveryTime and RecoveryEnergy price the
+	// progress recovery after a failure during it. The schedule
+	// builders fill them in (priceOps), so a run only integrates them.
+	Time, Energy                 float64
+	Break                        Breakdown
+	RecoveryTime, RecoveryEnergy float64
 }
 
 // BuildSchedule expands a layer spec and mask into the ordered op list the
@@ -60,7 +67,7 @@ func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg
 	it := tile.Ops(spec, mask)
 	ops := make([]Op, it.Len())
 	fillSchedule(ops, spec.Index, &it, mode, cfg)
-	return ops
+	return priceOps(ops, mode, cfg)
 }
 
 // ScheduleFromNetwork builds the whole-model op schedule from the
@@ -78,7 +85,7 @@ func ScheduleFromNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode
 	for i := range its {
 		n += fillSchedule(ops[n:], specs[i].Index, &its[i], mode, cfg)
 	}
-	return ops
+	return priceOps(ops, mode, cfg)
 }
 
 // fillSchedule writes the cursor's ops, tagged with the layer index, into
@@ -98,6 +105,17 @@ func fillSchedule(ops []Op, layer int, it *tile.OpIter, mode tile.Mode, cfg tile
 		n++
 	}
 	return n
+}
+
+// priceOps prices every op of a schedule built for mode and cfg against
+// the default platform (energy.Default) and returns the schedule.
+func priceOps(ops []Op, mode tile.Mode, cfg tile.Config) []Op {
+	m := energy.Default()
+	idx := recoveryIndexBytes(cfg)
+	for i := range ops {
+		ops[i].price(&m, mode, idx)
+	}
+	return ops
 }
 
 // Breakdown attributes active time to activities (paper Figure 2).
@@ -124,9 +142,8 @@ type Result struct {
 	Break      Breakdown
 }
 
-// CostSim evaluates op schedules against a device profile.
+// CostSim runs priced op schedules against a power simulator.
 type CostSim struct {
-	Dev device.Profile
 	Cfg tile.Config
 	// Trace receives op, layer and recovery events from every Run; the
 	// power simulator's own events (power-on/off, failure, charge) join
@@ -135,60 +152,46 @@ type CostSim struct {
 	Trace obs.Tracer
 }
 
-// NewCostSim constructs a simulator with the default MSP430 profile.
+// NewCostSim constructs a simulator for schedules built with cfg.
 func NewCostSim(cfg tile.Config) *CostSim {
-	return &CostSim{Dev: device.MSP430FR5994(), Cfg: cfg}
+	return &CostSim{Cfg: cfg}
 }
 
-// opCost returns the latency, energy and breakdown attribution of one op.
+// price fills in the op's latency, energy and breakdown attribution, and
+// the cost of progress recovery after a failure during it, from m.
 // Reads happen first (DMA), then the accelerator runs while the previous
 // outputs stream out — compute and preservation are pipelined (paper
 // Section III-B), so the exposed time is max(compute, write). The pricing
-// itself lives in energy.Model.OpCost — the one table the regionbudget
-// static analyzer also reads — so the simulator and the analyzer can
-// never disagree about what an op costs; only the Breakdown attribution
-// (which pipeline stage the exposed time is charged to) is local.
+// itself lives in energy.Model.OpCost and RecoveryCost — the one table
+// the regionbudget static analyzer also reads — so the simulator and the
+// analyzer can never disagree about what an op costs; only the Breakdown
+// attribution (which pipeline stage the exposed time is charged to) is
+// local. Recovery is reboot, progress-indicator read, the two extra BSR
+// index reads to relocate the nonzero block (Section III-D) — idxBytes in
+// all — and the re-fetch of the interrupted op's tile data.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (cs *CostSim) opCost(op *Op, mode tile.Mode) (t, e float64, b Breakdown) {
-	d := &cs.Dev
+func (op *Op) price(m *energy.Model, mode tile.Mode, idxBytes int64) {
+	d := &m.Dev
 	readBytes := op.WeightRead + op.InputRead
+	writeBytes := op.OutWrite + op.IndWrite
 	overlapped := mode == tile.Intermittent && !op.SerialWrite
-	t, e = energy.Model{Dev: cs.Dev}.OpCost(op.MACs, readBytes, op.OutWrite+op.IndWrite, overlapped)
-	readT := d.TransferTime(readBytes, false)
+	op.Time, op.Energy = m.OpCost(op.MACs, readBytes, writeBytes, overlapped)
 	compT := d.ComputeTime(op.MACs)
 	var writeT float64
-	if op.OutWrite+op.IndWrite > 0 {
-		writeT = d.TransferTime(op.OutWrite+op.IndWrite, true)
+	if writeBytes > 0 {
+		writeT = d.TransferTime(writeBytes, true)
 	}
-	b.ReadTime = readT
-	b.OverheadTime = d.OpOverheadTime
-	if mode == tile.Intermittent && op.SerialWrite {
-		b.ComputeTime = compT
-		b.WriteTime = writeT
-	} else if mode == tile.Intermittent {
-		if writeT >= compT {
-			b.WriteTime = writeT
-			b.ComputeTime = 0 // fully hidden under the write stream
-		} else {
-			b.ComputeTime = compT
-			b.WriteTime = 0
-		}
-	} else {
-		b.ComputeTime = compT
-		b.WriteTime = writeT
+	op.Break = Breakdown{ReadTime: d.TransferTime(readBytes, false), OverheadTime: d.OpOverheadTime}
+	switch {
+	case overlapped && writeT >= compT:
+		op.Break.WriteTime = writeT // compute fully hidden under the write stream
+	case overlapped:
+		op.Break.ComputeTime = compT
+	default:
+		op.Break.ComputeTime, op.Break.WriteTime = compT, writeT
 	}
-	return t, e, b
-}
-
-// recoveryCost returns the time and energy of progress recovery after a
-// failure interrupting op: reboot, progress-indicator read, the two extra
-// BSR index reads to relocate the nonzero block (Section III-D), and the
-// re-fetch of the interrupted op's tile data.
-//
-//iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (cs *CostSim) recoveryCost(op *Op) (t, e float64) {
-	return energy.Model{Dev: cs.Dev}.RecoveryCost(recoveryIndexBytes(cs.Cfg), op.RefetchBytes)
+	op.RecoveryTime, op.RecoveryEnergy = m.RecoveryCost(idxBytes, op.RefetchBytes)
 }
 
 // recoveryIndexBytes is what recovery reads to find where to resume: the
@@ -229,8 +232,13 @@ func (cs *CostSim) Run(ops []Op, mode tile.Mode, sup power.Supply, seed int64) (
 }
 
 // RunWithSim simulates the schedule against a caller-provided power
-// simulator — the hook for trace-driven supplies (power.NewTraceSim) and
-// custom buffers.
+// simulator — the hook for trace-driven supplies (power.NewTraceSim),
+// custom buffers and runs that continue one simulator across several
+// inferences. The schedule's ops carry their prices, built for mode;
+// the run integrates them against the supply. Events are stamped on the
+// simulator's clock (OnTime+OffTime, read at run start: 0 for a fresh
+// simulator), so a simulator shared by consecutive runs keeps one
+// timeline.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
 func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result, error) {
@@ -246,8 +254,9 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 		sim.Trace = tr
 	}
 	traced := tr.Enabled()
+	t0 := sim.OnTime + sim.OffTime
 	var res Result
-	// The trace clock is res.Latency itself: every event is stamped with
+	// The trace clock is t0 plus res.Latency: every event is stamped with
 	// the simulated wall-clock at which it begins, and layer-end events
 	// carry the layer's inclusive span and energy delta so per-layer
 	// sums reproduce the aggregate totals exactly.
@@ -256,7 +265,7 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 	endLayer := func() {
 		if traced && curLayer >= 0 {
 			tr.Emit(obs.Event{
-				Kind: obs.KindLayerEnd, Time: res.Latency,
+				Kind: obs.KindLayerEnd, Time: res.Latency + t0,
 				Dur: res.Latency - layerT0, Layer: curLayer, Op: -1,
 				Energy: sim.EnergyUsed - layerE0,
 			})
@@ -269,28 +278,26 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 			curLayer = op.Layer
 			layerT0, layerE0 = res.Latency, sim.EnergyUsed
 			if traced {
-				tr.Emit(obs.Event{Kind: obs.KindLayerStart, Time: res.Latency, Layer: curLayer, Op: -1})
+				tr.Emit(obs.Event{Kind: obs.KindLayerStart, Time: res.Latency + t0, Layer: curLayer, Op: -1})
 			}
 		}
-		t, e, b := cs.opCost(op, mode)
 		const maxRetries = 1000
 		retries := 0
 		for {
 			if traced {
-				tr.Emit(obs.Event{Kind: obs.KindOpStart, Time: res.Latency, Layer: curLayer, Op: int64(i)})
+				tr.Emit(obs.Event{Kind: obs.KindOpStart, Time: res.Latency + t0, Layer: curLayer, Op: int64(i)})
 			}
-			if !sim.Consume(e, t) {
+			if !sim.Consume(op.Energy, op.Time) {
 				break // op committed
 			}
 			// Power failed during the op: its time is spent but the work
 			// is lost; charge the dark period, then the recovery path.
-			res.ActiveTime += t
-			res.Latency += t
+			res.ActiveTime += op.Time
+			res.Latency += op.Time
 			off := sim.Recharge()
 			res.OffTime += off
 			res.Latency += off
-			rt, re := cs.recoveryCost(op)
-			for sim.Consume(re, rt) {
+			for sim.Consume(op.RecoveryEnergy, op.RecoveryTime) {
 				// Failing during recovery itself: recharge and retry the
 				// recovery (possible only under extreme profiles).
 				off = sim.Recharge()
@@ -302,55 +309,55 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 					res.Failures = sim.Failures
 					return res, &ErrOpExceedsBuffer{
 						Op: i, Supply: sup.Name, Recovery: true,
-						Energy: re, Buffer: sim.Buffer.UsableEnergy(),
+						Energy: op.RecoveryEnergy, Buffer: sim.Buffer.UsableEnergy(),
 					}
 				}
 			}
 			if traced {
 				tr.Emit(obs.Event{
-					Kind: obs.KindRecovery, Time: res.Latency, Dur: rt,
-					Layer: curLayer, Op: int64(i), Energy: re,
+					Kind: obs.KindRecovery, Time: res.Latency + t0, Dur: op.RecoveryTime,
+					Layer: curLayer, Op: int64(i), Energy: op.RecoveryEnergy,
 					Read: op.RefetchBytes,
 				})
 			}
-			res.ActiveTime += rt
-			res.Latency += rt
-			res.Break.RecoveryTime += rt
+			res.ActiveTime += op.RecoveryTime
+			res.Latency += op.RecoveryTime
+			res.Break.RecoveryTime += op.RecoveryTime
 			retries++
 			if retries > maxRetries {
 				res.Energy = sim.EnergyUsed
 				res.Failures = sim.Failures
 				return res, &ErrOpExceedsBuffer{
 					Op: i, Supply: sup.Name,
-					Energy: e, Buffer: sim.Buffer.UsableEnergy(),
+					Energy: op.Energy, Buffer: sim.Buffer.UsableEnergy(),
 				}
 			}
 		}
 		if traced {
 			tr.Emit(obs.Event{
-				Kind: obs.KindOpCommit, Time: res.Latency, Dur: t,
-				Layer: curLayer, Op: int64(i), Energy: e,
+				Kind: obs.KindOpCommit, Time: res.Latency + t0, Dur: op.Time,
+				Layer: curLayer, Op: int64(i), Energy: op.Energy,
 				Read: op.WeightRead + op.InputRead,
 			})
 			if wb := op.OutWrite + op.IndWrite; wb > 0 {
 				tr.Emit(obs.Event{
-					Kind: obs.KindPreserve, Time: res.Latency + t,
+					Kind: obs.KindPreserve, Time: res.Latency + op.Time + t0,
 					Layer: curLayer, Op: int64(i), Write: wb,
 				})
 			}
 		}
-		res.ActiveTime += t
-		res.Latency += t
+		res.ActiveTime += op.Time
+		res.Latency += op.Time
 		res.Ops++
 		res.Jobs += op.Jobs
-		res.Break.ReadTime += b.ReadTime
-		res.Break.WriteTime += b.WriteTime
-		res.Break.ComputeTime += b.ComputeTime
-		res.Break.OverheadTime += b.OverheadTime
+		res.Break.ReadTime += op.Break.ReadTime
+		res.Break.WriteTime += op.Break.WriteTime
+		res.Break.ComputeTime += op.Break.ComputeTime
+		res.Break.OverheadTime += op.Break.OverheadTime
 	}
 	endLayer()
 	if traced && len(ops) > 0 {
-		tr.Emit(obs.Event{Kind: obs.KindPowerOff, Time: res.Latency, Layer: -1, Op: -1})
+		tr.Emit(obs.Event{Kind: obs.KindPowerOff, Time: res.Latency + t0, Layer: -1, Op: -1})
 	}
 	res.Energy = sim.EnergyUsed
 	res.Failures = sim.Failures

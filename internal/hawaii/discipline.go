@@ -27,8 +27,8 @@ const taskIndicatorBytes = 16
 // cannot overlap the task's compute (SerialWrite). A failure inside a
 // task loses the whole task: RefetchBytes covers all its operands.
 //
-// Each returned Op therefore *is* one task; the CostSim executes task
-// schedules unchanged.
+// Each returned Op therefore *is* one task, priced like a schedule op;
+// the CostSim executes task schedules unchanged.
 func BuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config) []Op {
 	var tasks []Op
 	for op := tile.Ops(spec, mask); op.Next(); {
@@ -44,7 +44,7 @@ func BuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config
 		task.OutWrite += b.Output
 		task.RefetchBytes = task.WeightRead + task.InputRead + task.OutWrite
 	}
-	return tasks
+	return priceOps(tasks, tile.Intermittent, cfg)
 }
 
 // TaskScheduleFromNetwork builds the whole-model task schedule.

@@ -217,7 +217,7 @@ func TestCostSimOpExceedsBufferError(t *testing.T) {
 	// partial result must show zero committed ops.
 	cfg := tile.DefaultConfig()
 	cs := NewCostSim(cfg)
-	ops := []Op{{Layer: 0, MACs: 1 << 30, Jobs: 1, WeightRead: 1 << 24, OutWrite: 1 << 24, RefetchBytes: 1 << 24}}
+	ops := priceOps([]Op{{Layer: 0, MACs: 1 << 30, Jobs: 1, WeightRead: 1 << 24, OutWrite: 1 << 24, RefetchBytes: 1 << 24}}, tile.Intermittent, cfg)
 	res, err := cs.Run(ops, tile.Intermittent, power.WeakPower, 1)
 	if err == nil {
 		t.Fatal("expected ErrOpExceedsBuffer, got nil")
@@ -246,35 +246,36 @@ func TestCostSimOpExceedsBufferError(t *testing.T) {
 }
 
 func TestOpCostMatchesEnergyModel(t *testing.T) {
-	// The cost sim must price ops through energy.Model — the same table
-	// the regionbudget static analyzer reads. Any drift between the two
-	// fails here.
-	cs := NewCostSim(tile.DefaultConfig())
-	em := energy.Model{Dev: cs.Dev}
-	ops := []Op{
-		{MACs: 4096, WeightRead: 2048, InputRead: 512, OutWrite: 256, IndWrite: 2},
-		{MACs: 128, WeightRead: 64, OutWrite: 1024, IndWrite: 2},
-		{MACs: 100000, WeightRead: 8192, InputRead: 8192},
-		{MACs: 4096, WeightRead: 2048, OutWrite: 256, SerialWrite: true},
-	}
-	for i := range ops {
-		op := &ops[i]
-		for _, mode := range []tile.Mode{tile.Intermittent, tile.Continuous} {
-			gotT, gotE, _ := cs.opCost(op, mode)
+	// The schedule builders must price ops through energy.Model — the
+	// same table the regionbudget static analyzer reads. Any drift
+	// between the two fails here.
+	net, specs, cfg := buildNet(4)
+	pruneSome(net, 3)
+	em := energy.Default()
+	check := func(name string, ops []Op, mode tile.Mode) {
+		t.Helper()
+		for i := range ops {
+			op := &ops[i]
 			overlapped := mode == tile.Intermittent && !op.SerialWrite
 			wantT, wantE := em.OpCost(op.MACs, op.WeightRead+op.InputRead, op.OutWrite+op.IndWrite, overlapped)
-			if gotT != wantT || gotE != wantE {
-				t.Errorf("op %d mode %v: opCost (%g, %g) != energy.Model.OpCost (%g, %g)",
-					i, mode, gotT, gotE, wantT, wantE)
+			if op.Time != wantT || op.Energy != wantE {
+				t.Errorf("%s op %d: priced (%g, %g), energy.Model.OpCost (%g, %g)", name, i, op.Time, op.Energy, wantT, wantE)
+			}
+			wantT, wantE = em.RecoveryCost(int64(cfg.IndicatorBytes)+4, op.RefetchBytes)
+			if op.RecoveryTime != wantT || op.RecoveryEnergy != wantE {
+				t.Errorf("%s op %d: recovery priced (%g, %g), energy.Model.RecoveryCost (%g, %g)",
+					name, i, op.RecoveryTime, op.RecoveryEnergy, wantT, wantE)
+			}
+			b := op.Break
+			if sum := b.ReadTime + b.WriteTime + b.ComputeTime + b.OverheadTime; math.Abs(sum-op.Time) > 1e-12*op.Time {
+				t.Errorf("%s op %d: breakdown sums to %g, op time %g", name, i, sum, op.Time)
 			}
 		}
-		gotT, gotE := cs.recoveryCost(op)
-		wantT, wantE := em.RecoveryCost(int64(cs.Cfg.IndicatorBytes)+4, op.RefetchBytes)
-		if gotT != wantT || gotE != wantE {
-			t.Errorf("op %d: recoveryCost (%g, %g) != energy.Model.RecoveryCost (%g, %g)",
-				i, gotT, gotE, wantT, wantE)
-		}
 	}
+	for _, mode := range []tile.Mode{tile.Intermittent, tile.Continuous} {
+		check(mode.String(), ScheduleFromNetwork(net, specs, mode, cfg), mode)
+	}
+	check("task", TaskScheduleFromNetwork(net, specs, cfg), tile.Intermittent)
 }
 
 // ---------------------------------------------------------------------------

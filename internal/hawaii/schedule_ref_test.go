@@ -16,7 +16,8 @@ import (
 // BuildTaskSchedule as they were written before both walked tile.Ops:
 // their own (column tile, k-block, block row) loop nests, kept unchanged
 // as the references the cursor-driven schedules must reproduce op for
-// op, order included.
+// op, order included. Both price their ops like the builders do;
+// TestOpCostMatchesEnergyModel checks the prices.
 
 func refBuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg tile.Config) []Op {
 	if mask != nil && (mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK) {
@@ -79,7 +80,7 @@ func refBuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, 
 			}
 		}
 	}
-	return ops
+	return priceOps(ops, mode, cfg)
 }
 
 func refBuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config) []Op {
@@ -122,7 +123,7 @@ func refBuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Con
 			tasks = append(tasks, task)
 		}
 	}
-	return tasks
+	return priceOps(tasks, tile.Intermittent, cfg)
 }
 
 // genLayer draws a layer geometry and mask: M, K and N that are mostly

@@ -49,9 +49,12 @@ func (c *CycleStat) Utilization() float64 {
 // recorded run.
 type RunStats struct {
 	Layers []LayerStat // sorted by layer index
-	Cycles []CycleStat // in time order
-	Total  LayerStat   // aggregate over all layers
-	Events int         // events collected
+	// Cycles lists the power cycles in time order. Collect keeps them; a
+	// Hub device folds each into its metrics instead, and its Stats
+	// leave Cycles empty.
+	Cycles []CycleStat
+	Total  LayerStat // aggregate over all layers
+	Events int       // events collected
 }
 
 // Collect aggregates a recorded event stream into per-layer and
@@ -59,7 +62,7 @@ type RunStats struct {
 // (power events emitted by the supply simulator) are attributed to the
 // layer that was executing when they occurred.
 func Collect(events []Event) *RunStats {
-	c := newCollector()
+	c := newCollector(true)
 	for i := range events {
 		c.add(&events[i])
 	}
@@ -71,19 +74,45 @@ func Collect(events []Event) *RunStats {
 // HubDevice runs it on each event as it is emitted, so nothing but the
 // statistics is kept.
 type collector struct {
-	s   RunStats
-	idx map[int]int // layer index -> position in s.Layers
-	cur int         // layer of the last layer-start, -1 before any
+	s RunStats
+	// keep appends each final power cycle to s.Cycles (Collect); without
+	// it (a Hub device) the cycle is counted in cycles and observed in
+	// util, so memory stays O(layers) however long the run.
+	keep   bool
+	cycles int64
+	util   Histogram
+	cur    int // layer of the last layer-start, -1 before any
+	at     int // position in s.Layers of the last layer looked up, -1 before any
 
 	cycleStart, cycleEnergy, lastT float64
 	inCycle                        bool
+	// last is the last closed power cycle. It is final only once the
+	// next one closes or the fold ends: the charge that follows its
+	// power-off still adds to it.
+	last    CycleStat
+	hasLast bool
 }
 
-func newCollector() collector { return collector{idx: map[int]int{}, cur: -1} }
+func newCollector(keep bool) collector {
+	c := collector{keep: keep, cur: -1, at: -1}
+	if !keep {
+		c.util = Histogram{
+			Name:   "cycle_utilization",
+			Bounds: UtilizationBuckets,
+			Counts: make([]int64, len(UtilizationBuckets)+1),
+		}
+	}
+	return c
+}
 
 // layer returns the statistics of layer li, attributing layerless
 // events (li < 0) to the executing layer, and events before the first
 // layer boundary to a catch-all pseudo-layer -1 created only if needed.
+// Nearly every event belongs to the layer of the one before it, so the
+// last position looked up is tried first; otherwise the few layers are
+// scanned.
+//
+//iprune:allow-budget the scan is bounded by the run's layer count; observability runs on the host, outside the device energy envelope
 func (c *collector) layer(li int) *LayerStat {
 	if li < 0 {
 		li = c.cur
@@ -91,13 +120,41 @@ func (c *collector) layer(li int) *LayerStat {
 	if li < 0 {
 		li = -1
 	}
-	i, ok := c.idx[li]
-	if !ok {
-		i = len(c.s.Layers)
-		c.idx[li] = i
-		c.s.Layers = append(c.s.Layers, LayerStat{Layer: li})
+	if c.at >= 0 && c.s.Layers[c.at].Layer == li {
+		return &c.s.Layers[c.at]
 	}
-	return &c.s.Layers[i]
+	c.at = -1
+	for i := range c.s.Layers {
+		if c.s.Layers[i].Layer == li {
+			c.at = i
+			break
+		}
+	}
+	if c.at < 0 {
+		c.at = len(c.s.Layers)
+		c.s.Layers = append(c.s.Layers, LayerStat{Layer: li}) //iprune:allow-alloc once per layer, the first time the run reaches it
+	}
+	return &c.s.Layers[c.at]
+}
+
+// closeCycle makes cyc the last closed power cycle, which finalizes the
+// one closed before it.
+func (c *collector) closeCycle(cyc CycleStat) {
+	if c.hasLast {
+		c.final(&c.last)
+	}
+	c.last, c.hasLast = cyc, true
+}
+
+// final records a power cycle that no later event can change, in cycle
+// order.
+func (c *collector) final(cyc *CycleStat) {
+	if c.keep {
+		c.s.Cycles = append(c.s.Cycles, *cyc) //iprune:allow-alloc Collect keeps every cycle; a Hub device folds them
+		return
+	}
+	c.cycles++
+	c.util.Observe(cyc.Utilization())
 }
 
 // add folds one event into the statistics.
@@ -148,7 +205,7 @@ func (c *collector) add(ev *Event) {
 		c.inCycle = true
 	case KindPowerOff:
 		if c.inCycle {
-			c.s.Cycles = append(c.s.Cycles, CycleStat{
+			c.closeCycle(CycleStat{
 				Start:  c.cycleStart,
 				OnTime: ev.Time - c.cycleStart,
 				Energy: c.cycleEnergy,
@@ -156,26 +213,30 @@ func (c *collector) add(ev *Event) {
 			c.inCycle = false
 		}
 	case KindCharge:
-		if n := len(c.s.Cycles); n > 0 {
-			c.s.Cycles[n-1].OffTime += ev.Dur
+		if c.hasLast {
+			c.last.OffTime += ev.Dur
 		}
 	}
 }
 
 // finish closes the fold: a power cycle still open is closed at the last
-// stamped event time, layers are sorted and the totals summed. The
-// returned statistics alias the collector, which takes no more events.
+// stamped event time, the last cycle is final, layers are sorted and the
+// totals summed. The returned statistics alias the collector, which
+// takes no more events.
 func (c *collector) finish() *RunStats {
 	s := &c.s
 	if c.inCycle {
 		// The trace was cut off mid power-cycle (an aborted run, or a
 		// stream truncated by the caller): close the partial cycle at the
 		// last stamped event time so its work is still accounted for.
-		s.Cycles = append(s.Cycles, CycleStat{
+		c.closeCycle(CycleStat{
 			Start:  c.cycleStart,
 			OnTime: c.lastT - c.cycleStart,
 			Energy: c.cycleEnergy,
 		})
+	}
+	if c.hasLast {
+		c.final(&c.last)
 	}
 	sort.Slice(s.Layers, func(i, j int) bool { return s.Layers[i].Layer < s.Layers[j].Layer })
 	s.Total = LayerStat{Layer: -1}

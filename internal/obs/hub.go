@@ -12,10 +12,13 @@ import (
 //
 // Every event is folded into its device's statistics as it is emitted,
 // on the emitting goroutine, by the same fold Collect runs over a
-// recorded slice; no event is kept. Memory is therefore the statistics
-// alone — one entry per layer and per power cycle — rather than every
-// event. A caller that needs the raw events — a trace — records or
-// streams them with its own tracer.
+// recorded slice; no event is kept. Power cycles are not kept either:
+// each final cycle is folded into the device's run/power_cycles count
+// and cycle_utilization histogram, so a device's Stats().Cycles is
+// empty. Memory is therefore O(layers) per device, however long the run
+// — rather than every event or every cycle. A caller that needs the raw
+// events or cycles — a trace, a budget audit — records or streams them
+// with its own tracer and runs Collect.
 //
 // Ownership model: each device is fed by one goroutine at a time, which
 // is then the only writer of that device's statistics, so the emit path
@@ -58,7 +61,7 @@ func (h *Hub) Device(name string, names []string) *HubDevice {
 	if h.closed.Load() {
 		panic("obs: Hub.Device after Close")
 	}
-	d := &HubDevice{Name: name, hub: h, c: newCollector()}
+	d := &HubDevice{Name: name, hub: h, c: newCollector(false)}
 	h.devs = append(h.devs, d)
 	return d
 }
@@ -70,7 +73,7 @@ func (d *HubDevice) Enabled() bool { return !d.hub.closed.Load() }
 
 // Emit implements Tracer: the event is folded into the device's
 // statistics on the calling goroutine, with no lock and no allocation
-// once the device's layers and power-cycle capacity are in place.
+// once the device's layers are in place.
 // Events emitted after Close are dropped; racing an Emit against Close
 // violates the Hub's shutdown contract (producers must be joined first).
 //
@@ -94,11 +97,15 @@ func (h *Hub) Close() {
 		d.stats = d.c.finish()
 		d.m = NewMetrics()
 		d.stats.Fill(d.m)
+		// Fill found no cycles in the stats; add the folded ones.
+		d.m.Counter("run/power_cycles").AddInt(d.c.cycles)
+		d.m.Histogram(d.c.util.Name, d.c.util.Bounds).Merge(&d.c.util)
 	}
 }
 
 // Stats returns the device's collected run statistics (nil before
-// Close).
+// Close): layers, totals and the event count, with Cycles empty — the
+// device's metrics hold its power cycles.
 func (d *HubDevice) Stats() *RunStats { return d.stats }
 
 // Metrics returns the device's own metrics registry (nil before Close).

@@ -3,18 +3,29 @@ package obs
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// deviceRun emits one synthetic power cycle of n op commits into tr,
-// stamped in seconds/joules so per-cycle energy and utilization are
-// exercised end to end.
+// deviceRun emits a synthetic run of n op commits into tr, stamped in
+// seconds/joules so per-cycle energy and utilization are exercised end
+// to end: the buffer empties after every 16th op, and each power cycle
+// is followed by a charge of its own length, so cycles differ in
+// utilization.
 func deviceRun(tr Tracer, n int) {
 	t := 0.0
 	tr.Emit(Event{Kind: KindPowerOn, Time: t, Layer: -1, Op: -1})
 	tr.Emit(Event{Kind: KindLayerStart, Time: t, Layer: 0})
 	for op := 0; op < n; op++ {
+		if op > 0 && op%16 == 0 {
+			off := 0.25 * float64(op%3+1)
+			tr.Emit(Event{Kind: KindFailure, Time: t, Layer: -1, Op: -1, Energy: 1e-7})
+			tr.Emit(Event{Kind: KindPowerOff, Time: t, Layer: -1, Op: -1})
+			tr.Emit(Event{Kind: KindCharge, Time: t, Dur: off, Layer: -1, Op: -1})
+			t += off
+			tr.Emit(Event{Kind: KindPowerOn, Time: t, Layer: -1, Op: -1})
+		}
 		tr.Emit(Event{Kind: KindOpStart, Time: t, Layer: 0, Op: int64(op)})
 		tr.Emit(Event{Kind: KindOpCommit, Time: t, Dur: 0.5, Layer: 0, Op: int64(op), Energy: 1e-6, Read: 64})
 		t += 0.5
@@ -24,10 +35,41 @@ func deviceRun(tr Tracer, n int) {
 	tr.Emit(Event{Kind: KindPowerOff, Time: t, Layer: -1, Op: -1})
 }
 
+// emitCycle emits one whole power cycle into tr at *now and advances
+// it: power-on, an op attempt that commits and preserves, a second that
+// the buffer's failure cuts off with its power-off, and the charge.
+func emitCycle(tr Tracer, now *float64) {
+	t := *now
+	tr.Emit(Event{Kind: KindPowerOn, Time: t, Layer: -1, Op: -1})
+	tr.Emit(Event{Kind: KindOpStart, Time: t, Layer: 0, Op: 1})
+	tr.Emit(Event{Kind: KindOpCommit, Time: t, Dur: 0.5, Layer: 0, Op: 1, Energy: 1e-6, Read: 64})
+	tr.Emit(Event{Kind: KindPreserve, Time: t + 0.5, Layer: 0, Op: 1, Write: 32})
+	tr.Emit(Event{Kind: KindOpStart, Time: t + 0.5, Layer: 0, Op: 2})
+	tr.Emit(Event{Kind: KindFailure, Time: t + 1, Layer: -1, Op: -1, Energy: 1e-6})
+	tr.Emit(Event{Kind: KindPowerOff, Time: t + 1, Layer: -1, Op: -1})
+	tr.Emit(Event{Kind: KindCharge, Time: t + 1, Dur: 2, Layer: -1, Op: -1})
+	*now = t + 3
+}
+
+// dumpMetrics renders every counter and histogram of m in registration
+// order, floats in their shortest round-trip form, so two registries
+// render alike only if they match bit for bit.
+func dumpMetrics(m *Metrics) string {
+	var b strings.Builder
+	for _, c := range m.Counters() {
+		fmt.Fprintf(&b, "%s=%v\n", c.Name, c.Value())
+	}
+	for _, h := range m.Histograms() {
+		fmt.Fprintf(&b, "%s %v %v sum=%v n=%d\n", h.Name, h.Bounds, h.Counts, h.Sum, h.N)
+	}
+	return b.String()
+}
+
 // TestHubConcurrentDevices is the -race workout of the Hub's ownership
 // model: many devices emitting concurrently from their own goroutines,
-// each folded into per-device stats that must equal Collect over the
-// same events emitted sequentially, plus one fleet rollup.
+// each folded into per-device stats and metrics that must equal Collect
+// (and Fill over it) for the same events emitted sequentially, plus one
+// fleet rollup. A device keeps no power cycles: they are in its metrics.
 func TestHubConcurrentDevices(t *testing.T) {
 	const devices, opsEach = 8, 50
 	h := NewHub(3)
@@ -49,18 +91,27 @@ func TestHubConcurrentDevices(t *testing.T) {
 	rec := NewRecorder()
 	deviceRun(rec, opsEach)
 	want := Collect(rec.Events())
+	wantM := NewMetrics()
+	want.Fill(wantM)
+	if len(want.Cycles) != 4 || want.Cycles[0].OnTime != 8 || want.Cycles[0].OffTime != 0.5 {
+		t.Fatalf("fixture: cycles %+v, want 4 starting with 8 s on, 0.5 s off", want.Cycles)
+	}
 	for _, d := range devs {
 		s := d.Stats()
 		if s == nil {
 			t.Fatalf("%s: no stats after Close", d.Name)
 		}
 		// Equality with the sequential fold pins emission order too: a
-		// reordered stream would move the power cycle's bounds.
-		if !reflect.DeepEqual(s, want) {
+		// reordered stream would move the power cycles' bounds, and so
+		// their utilization buckets and sum.
+		if !reflect.DeepEqual(s.Layers, want.Layers) || s.Total != want.Total || s.Events != want.Events {
 			t.Errorf("%s: stats %+v, want %+v", d.Name, s, want)
 		}
-		if s.Total.Ops != opsEach || len(s.Cycles) != 1 || s.Cycles[0].OnTime != 0.5*opsEach {
-			t.Errorf("%s: %d ops, cycles %+v", d.Name, s.Total.Ops, s.Cycles)
+		if len(s.Cycles) != 0 {
+			t.Errorf("%s: hub device kept %d power cycles, want none", d.Name, len(s.Cycles))
+		}
+		if got, w := dumpMetrics(d.Metrics()), dumpMetrics(wantM); got != w {
+			t.Errorf("%s: metrics\n%s\nwant Fill(Collect(events))\n%s", d.Name, got, w)
 		}
 	}
 
@@ -68,8 +119,8 @@ func TestHubConcurrentDevices(t *testing.T) {
 	if got := roll.Counter("run/ops").Value(); got != devices*opsEach {
 		t.Errorf("rollup ops = %g, want %d", got, devices*opsEach)
 	}
-	if got := roll.Counter("run/power_cycles").Value(); got != devices {
-		t.Errorf("rollup power cycles = %g, want %d", got, devices)
+	if got := roll.Counter("run/power_cycles").Value(); got != 4*devices {
+		t.Errorf("rollup power cycles = %g, want %d", got, 4*devices)
 	}
 	// The fleet histogram holds every device's observations, so its
 	// quantiles are real tails, not averages of averages.
@@ -214,17 +265,46 @@ func TestHubEmitZeroAlloc(t *testing.T) {
 	h.Close()
 }
 
-// BenchmarkHubEmit measures the producer-side emit path: one closed-flag
-// load and one fold step on the emitting goroutine — no channel, no
-// lock, no allocation.
+// TestHubEmitCyclesZeroAlloc pins the emit path at zero allocations over
+// whole power cycles: a device folds each closed cycle into its count
+// and utilization histogram instead of keeping it, so a run of any
+// length allocates nothing after its layers exist.
+func TestHubEmitCyclesZeroAlloc(t *testing.T) {
+	// One measured run of many cycles: AllocsPerRun rounds the mean
+	// down, so amortized growth spread over many short runs would read 0.
+	const cycles = 10000
+	h := NewHub(0)
+	d := h.Device("cycles", nil)
+	d.Emit(Event{Kind: KindLayerStart, Layer: 0})
+	now := 0.0
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cycles; i++ {
+			emitCycle(d, &now)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("HubDevice.Emit allocates %.0f times over %d power cycles, want 0", allocs, cycles)
+	}
+	h.Close()
+	// AllocsPerRun runs the function once more to warm up.
+	if got := d.Metrics().Counter("run/power_cycles").Value(); got != 2*cycles {
+		t.Errorf("run/power_cycles = %g, want %d", got, 2*cycles)
+	}
+}
+
+// BenchmarkHubEmit measures the producer-side emit path over one whole
+// power cycle per op (emitCycle's eight events): one closed-flag load
+// and one fold step per event on the emitting goroutine — no channel,
+// no lock, no allocation, and no memory that grows with the cycles.
 func BenchmarkHubEmit(b *testing.B) {
 	h := NewHub(1)
 	d := h.Device("bench", nil)
-	ev := Event{Kind: KindOpCommit, Time: 1, Dur: 0.5, Layer: 0, Op: 1, Energy: 1e-6}
+	d.Emit(Event{Kind: KindLayerStart, Layer: 0})
+	now := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Emit(ev)
+		emitCycle(d, &now)
 	}
 	b.StopTimer()
 	h.Close()
