@@ -325,6 +325,112 @@ func dumpMetrics(m *obs.Metrics) string {
 	return b.String()
 }
 
+// timelineScenario decodes a fuzz input into a one-node scenario. The
+// first byte of script picks 1–5 inferences, the model (HAR or CKS) and
+// the supply (weak, or a 10 mW solar day with seeded clouds); each
+// following 3 bytes add one event, up to 8: a brownout, a harvest change
+// or a model switch, at a time in the first 20 s and with a length,
+// level or model drawn from the other bytes.
+func timelineScenario(seed int64, script []byte) *Scenario {
+	var head byte
+	if len(script) > 0 {
+		head, script = script[0], script[1:]
+	}
+	n := NodeSpec{ID: "n", Model: "HAR", Supply: "weak", Inferences: 1 + int(head%5)}
+	if head/5%2 == 1 {
+		n.Model = "CKS"
+	}
+	if head/10%2 == 1 {
+		n.Supply, n.Solar = "", &SolarSpec{PeakMW: 10, DurationS: 120, Clouds: 2, Seed: seed % 1000}
+	}
+	sc := &Scenario{Name: "timeline", Seed: seed, Nodes: []NodeSpec{n}}
+	for k := 0; k+3 <= len(script) && k < 3*8; k += 3 {
+		a, b, c := script[k], script[k+1], script[k+2]
+		ev := EventSpec{AtS: float64(b) * 0.08, Node: "n"}
+		switch a % 3 {
+		case 0:
+			ev.Action, ev.DurationS = "brownout", 0.05+float64(c)*0.02
+		case 1:
+			ev.Action, ev.Supply = "set-harvest", fmt.Sprintf("%dmW", 2+int(c)%15)
+		case 2:
+			ev.Action, ev.Model = "switch-model", []string{"HAR", "CKS"}[c%2]
+		}
+		sc.Events = append(sc.Events, ev)
+	}
+	return sc
+}
+
+// FuzzNodeTimeline simulates one node under a generated event script
+// (timelineScenario) and checks the events WriteTrace would regenerate
+// for it: time never decreases, beyond rounding (the cost and power
+// simulators sum the same spans in different orders, so their stamps
+// differ in the last bits); power-on and power-off alternate,
+// starting on and ending off; no op commits while the device is off;
+// and a Hub device fed the same run holds the layers, totals, event
+// count and metrics (counters, histogram counts and sums, bit for bit)
+// of Collect and Fill over the events.
+func FuzzNodeTimeline(f *testing.F) {
+	f.Add(int64(3), []byte{2})                                     // weak HAR, 3 inferences
+	f.Add(int64(7), []byte{4, 1, 60, 200})                         // weak HAR, 5 inferences, harvest change
+	f.Add(int64(11), []byte{11, 0, 30, 40, 0, 90, 10, 0, 150, 90}) // solar HAR, 2 inferences, brownouts
+	f.Add(int64(5), []byte{1, 2, 5, 1, 2, 12, 0})                  // weak HAR to CKS and back
+	f.Add(int64(9), []byte{16, 0, 20, 255, 1, 80, 0})              // solar CKS, brownout, harvest change
+	f.Add(int64(1), []byte{})                                      // one weak HAR inference
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		sc := timelineScenario(seed, script)
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("generated scenario is invalid: %v", err)
+		}
+		nodes, err := compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub := obs.NewHub(0)
+		d := hub.Device("n", nil)
+		r, ran := simulate(nodes[0], d)
+		hub.Close()
+		if !ran || r.Err != nil {
+			t.Fatalf("node did not run: %v", r.Err)
+		}
+		rec := obs.NewRecorder()
+		simulate(nodes[0], rec)
+		evs := rec.Events()
+		prev, powered, ons := 0.0, false, 0
+		for k, ev := range evs {
+			if ev.Time < prev*(1-1e-9) {
+				t.Fatalf("event %d (%v) at %v s runs backwards from %v s", k, ev.Kind, ev.Time, prev)
+			}
+			prev = max(prev, ev.Time)
+			switch ev.Kind {
+			case obs.KindPowerOn:
+				if powered {
+					t.Fatalf("event %d: power-on at %v s while on", k, ev.Time)
+				}
+				powered = true
+				ons++
+			case obs.KindPowerOff:
+				if !powered {
+					t.Fatalf("event %d: power-off at %v s while off", k, ev.Time)
+				}
+				powered = false
+			case obs.KindOpCommit:
+				if !powered {
+					t.Fatalf("event %d: op %d commits at %v s while off", k, ev.Op, ev.Time)
+				}
+			}
+		}
+		if ons == 0 || powered {
+			t.Fatalf("%d power-ons, stream ends powered %v: want a run that ends off", ons, powered)
+		}
+		if ons != r.Recoveries+1 {
+			t.Errorf("%d power-ons for %d recoveries", ons, r.Recoveries)
+		}
+		if diff := hubMatchesCollect(d, evs); diff != "" {
+			t.Errorf("hub differs from Collect over the regenerated events: %s", diff)
+		}
+	})
+}
+
 // TestHubStatsMatchTrace pins that what the hub folds while a run emits
 // is exactly what the trace WriteTrace regenerates gives: per node, the
 // device's layers, totals, event count and metrics equal Collect and

@@ -216,8 +216,9 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 
 // simulate runs one node's power and cost simulation: one power
 // simulator spans every inference (failures and profile time carry
-// across boundaries), the schedule is rebuilt at each switch-model
-// boundary, and all events flow into tr. It is deterministic and leaves
+// across boundaries, and the device is switched off only after the
+// last), the schedule is rebuilt at each switch-model boundary, and all
+// events flow into tr on the simulator's clock. It is deterministic and leaves
 // n untouched, so a second call emits the same events; WriteTrace relies
 // on that. ran is false when a power simulator or schedule could not be
 // built, leaving no final model to probe.
@@ -248,6 +249,7 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 	// simulator, whose clock stamps both their events.
 	cs := &hawaii.CostSim{Cfg: cfg, Trace: tr}
 	pending := n.switches
+	var end float64 // node clock at the end of the last run
 	for k := 0; k < n.spec.Inferences; k++ {
 		now := sim.OnTime + sim.OffTime
 		for len(pending) > 0 && pending[0].at <= now {
@@ -264,6 +266,7 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 			}
 		}
 		res, err := cs.RunWithSim(ops, tile.Intermittent, sim)
+		end = now + res.Latency
 		r.Latency += res.Latency
 		if err != nil {
 			r.Err = err
@@ -273,6 +276,12 @@ func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 		if n.spec.DeadlineS > 0 && res.Latency <= n.spec.DeadlineS {
 			r.DeadlineHits++
 		}
+	}
+	// The node's power simulator stays on across inferences: the device
+	// switches off once, when its last run ends, stamped as that run
+	// stamps its own events.
+	if len(ops) > 0 && tr.Enabled() {
+		tr.Emit(obs.Event{Kind: obs.KindPowerOff, Time: end, Layer: -1, Op: -1})
 	}
 	r.Recoveries = sim.Failures
 	r.Energy = sim.EnergyUsed

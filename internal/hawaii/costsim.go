@@ -227,8 +227,15 @@ func (e *ErrOpExceedsBuffer) Error() string {
 // error is *ErrOpExceedsBuffer: the schedule contains an op that can
 // never fit one buffer charge, and the partial Result covers the work
 // committed before the stuck op.
+//
+// Run owns its power simulator, so a traced run that completes ends with
+// the device's power-off.
 func (cs *CostSim) Run(ops []Op, mode tile.Mode, sup power.Supply, seed int64) (Result, error) {
-	return cs.RunWithSim(ops, mode, power.NewSim(power.DefaultBuffer(), sup, seed))
+	res, err := cs.RunWithSim(ops, mode, power.NewSim(power.DefaultBuffer(), sup, seed))
+	if err == nil && len(ops) > 0 && cs.Trace != nil && cs.Trace.Enabled() {
+		cs.Trace.Emit(obs.Event{Kind: obs.KindPowerOff, Time: res.Latency, Layer: -1, Op: -1})
+	}
+	return res, err
 }
 
 // RunWithSim simulates the schedule against a caller-provided power
@@ -238,7 +245,8 @@ func (cs *CostSim) Run(ops []Op, mode tile.Mode, sup power.Supply, seed int64) (
 // the run integrates them against the supply. Events are stamped on the
 // simulator's clock (OnTime+OffTime, read at run start: 0 for a fresh
 // simulator), so a simulator shared by consecutive runs keeps one
-// timeline.
+// timeline. The device stays powered when the run ends: whoever owns
+// the simulator emits the power-off once it is done with it (Run does).
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
 func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result, error) {
@@ -356,9 +364,6 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 		res.Break.OverheadTime += op.Break.OverheadTime
 	}
 	endLayer()
-	if traced && len(ops) > 0 {
-		tr.Emit(obs.Event{Kind: obs.KindPowerOff, Time: res.Latency + t0, Layer: -1, Op: -1})
-	}
 	res.Energy = sim.EnergyUsed
 	res.Failures = sim.Failures
 	return res, nil

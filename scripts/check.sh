@@ -65,15 +65,18 @@ go test -race -count=10 -run '^(TestTrainEpochWidthBitIdentical|TestTrainEpochAd
 # references, of the loader's function-body blanker against the parser
 # and of its import stubs against a check with every import real, of
 # the HAWAII⁺ engine under generated power-failure patterns against
-# an uninterrupted run, and of the parsers of outside input (model
-# files, supply and budget strings, fleet scenarios), which must return
-# a value or an error and never panic. Plain go test above already ran
-# the seed corpora; a failing input lands in the package's testdata/fuzz
-# as a regression fixture. A dense failure pattern costs up to ~0.1 s per
-# engine run, so minimizing each new corpus entry (60 s by default) would
-# take the engine smoke's whole budget: it minimizes for 1 s at most.
-# So does the model-file smoke, whose seed, a saved HAR model, is
-# ~270 KB.
+# an uninterrupted run, of the parsers of outside input (model files,
+# supply and budget strings, fleet scenarios), which must return a value
+# or an error and never panic, and of one fleet node under generated
+# event scripts, whose timeline must be monotonic and power-paired and
+# whose hub metrics must equal those of its regenerated events. Plain go
+# test above already ran the seed corpora; a failing input lands in the
+# package's testdata/fuzz as a regression fixture. A dense failure
+# pattern costs up to ~0.1 s per engine run, so minimizing each new
+# corpus entry (60 s by default) would take the engine smoke's whole
+# budget: it minimizes for 1 s at most. So do the model-file smoke,
+# whose seed, a saved HAR model, is ~270 KB, and the node smoke, whose
+# every run simulates up to five inferences twice.
 echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzFakeQuantize$' -fuzztime 10s ./internal/fixed
@@ -85,6 +88,7 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s -fuzzminimizetime 1s ./interna
 go test -run '^$' -fuzz '^FuzzParseSupply$' -fuzztime 5s ./internal/power
 go test -run '^$' -fuzz '^FuzzParseBudget$' -fuzztime 5s ./internal/energy
 go test -run '^$' -fuzz '^FuzzParseScenario$' -fuzztime 5s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzNodeTimeline$' -fuzztime 5s -fuzzminimizetime 1s ./internal/fleet
 
 # Artifact directory shared by the SARIF and repro-smoke steps. CI sets
 # CHECK_ARTIFACT_DIR to a directory it uploads; local runs use a
