@@ -79,11 +79,12 @@ func (m Model) NVMWriteJ(n int64) float64 {
 // accelerator runs macs MACs while writeBytes stream out. Overlapped
 // ops (intermittent mode's pipelined preservation) expose
 // max(compute, write); serialized ones (continuous mode, task-level
-// preservation) the sum. This is the pricing core of
-// hawaii.CostSim.opCost.
+// preservation) the sum. This is the pricing core of the hawaii
+// schedule builders, which call it once per op; the pointer receiver
+// spares them a copy of the Model per call.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (m Model) OpCost(macs, readBytes, writeBytes int64, overlapped bool) (t, e float64) {
+func (m *Model) OpCost(macs, readBytes, writeBytes int64, overlapped bool) (t, e float64) {
 	d := &m.Dev
 	readT := d.TransferTime(readBytes, false)
 	compT := d.ComputeTime(macs)
@@ -109,11 +110,11 @@ func (m Model) OpCost(macs, readBytes, writeBytes int64, overlapped bool) (t, e 
 
 // RecoveryCost prices progress recovery after a failure: reboot, the
 // progress-indicator read of idxBytes, and the refetch of the
-// interrupted op's tile data. This is the pricing core of
-// hawaii.CostSim.recoveryCost.
+// interrupted op's tile data. This is the pricing core of the hawaii
+// schedule builders' recovery cost.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (m Model) RecoveryCost(idxBytes, refetchBytes int64) (t, e float64) {
+func (m *Model) RecoveryCost(idxBytes, refetchBytes int64) (t, e float64) {
 	d := &m.Dev
 	t = d.RebootTime + d.TransferTime(idxBytes, false) + d.TransferTime(refetchBytes, false)
 	e = d.RebootEnergy + float64(d.BasePower*t) + d.TransferEnergyOf(idxBytes, false) + d.TransferEnergyOf(refetchBytes, false)

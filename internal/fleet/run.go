@@ -218,10 +218,10 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 // simulator spans every inference (failures and profile time carry
 // across boundaries, and the device is switched off only after the
 // last), the schedule is rebuilt at each switch-model boundary, and all
-// events flow into tr on the simulator's clock. It is deterministic and leaves
-// n untouched, so a second call emits the same events; WriteTrace relies
-// on that. ran is false when a power simulator or schedule could not be
-// built, leaving no final model to probe.
+// events flow into tr on the simulator's clock. It is deterministic and
+// leaves n untouched, so a second call emits the same events;
+// WriteTrace relies on that. ran is false when a power simulator or
+// schedule could not be built, leaving no final model to probe.
 func simulate(n *node, tr obs.Tracer) (r NodeResult, ran bool) {
 	r = NodeResult{ID: n.spec.ID, Model: n.spec.Model, Supply: n.label}
 	if n.spec.DeadlineS > 0 {

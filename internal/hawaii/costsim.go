@@ -7,10 +7,11 @@
 // The package offers two coordinated views of the engine:
 //
 //   - CostSim (this file): an event-driven simulator that walks the
-//     accelerator-op schedule of a model and integrates latency and energy
-//     against the device profile and the harvesting supply, including
-//     power failures, recharge dead time and progress recovery. It scales
-//     to full models and generates the paper's Figure 2 and Figure 5.
+//     accelerator-op schedule of a model, priced against the device
+//     profile when it is built, and integrates latency and energy against
+//     the harvesting supply, including power failures, recharge dead time
+//     and progress recovery. It scales to full models and generates the
+//     paper's Figure 2 and Figure 5.
 //
 //   - Engine (engine.go): a functional simulator that really executes
 //     Q15 inference job by job against simulated VM/NVM state with
@@ -51,7 +52,7 @@ type Op struct {
 	// Time and Energy price one attempt of the op, and Break attributes
 	// Time to activities. RecoveryTime and RecoveryEnergy price the
 	// progress recovery after a failure during it. The schedule
-	// builders fill them in (priceOps), so a run only integrates them.
+	// builders fill them in (Op.price), so a run only integrates them.
 	Time, Energy                 float64
 	Break                        Breakdown
 	RecoveryTime, RecoveryEnergy float64
@@ -66,8 +67,9 @@ type Op struct {
 func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg tile.Config) []Op {
 	it := tile.Ops(spec, mask)
 	ops := make([]Op, it.Len())
-	fillSchedule(ops, spec.Index, &it, mode, cfg)
-	return priceOps(ops, mode, cfg)
+	m := energy.Default()
+	fillSchedule(ops, spec.Index, &it, mode, cfg, &m)
+	return ops
 }
 
 // ScheduleFromNetwork builds the whole-model op schedule from the
@@ -82,33 +84,38 @@ func ScheduleFromNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode
 	}
 	ops := make([]Op, n)
 	n = 0
+	m := energy.Default()
 	for i := range its {
-		n += fillSchedule(ops[n:], specs[i].Index, &its[i], mode, cfg)
+		n += fillSchedule(ops[n:], specs[i].Index, &its[i], mode, cfg, &m)
 	}
-	return priceOps(ops, mode, cfg)
+	return ops
 }
 
-// fillSchedule writes the cursor's ops, tagged with the layer index, into
-// ops and returns how many it wrote.
+// fillSchedule writes the cursor's ops, tagged with the layer index and
+// priced by m for mode, into ops, which must be zeroed, and returns how
+// many it wrote. It sets each field in place: building a whole Op and
+// copying it in cost the schedule build more than the pricing.
 //
 //iprune:hotpath
 //iprune:allow-budget host-side schedule construction; it plans power-cycle regions but never executes inside one
-func fillSchedule(ops []Op, layer int, it *tile.OpIter, mode tile.Mode, cfg tile.Config) int {
+func fillSchedule(ops []Op, layer int, it *tile.OpIter, mode tile.Mode, cfg tile.Config, m *energy.Model) int {
+	idx := recoveryIndexBytes(cfg)
 	n := 0
 	for it.Next() {
 		b := it.Bytes(mode, cfg)
-		ops[n] = Op{
-			Layer: layer, MACs: it.MACs(), Jobs: it.Jobs(),
-			WeightRead: b.Weight, InputRead: b.Input,
-			OutWrite: b.Output, IndWrite: b.Indicator, RefetchBytes: b.Refetch,
-		}
+		op := &ops[n]
+		op.Layer, op.MACs, op.Jobs = layer, it.MACs(), it.Jobs()
+		op.WeightRead, op.InputRead = b.Weight, b.Input
+		op.OutWrite, op.IndWrite, op.RefetchBytes = b.Output, b.Indicator, b.Refetch
+		op.price(m, mode, idx)
 		n++
 	}
 	return n
 }
 
 // priceOps prices every op of a schedule built for mode and cfg against
-// the default platform (energy.Default) and returns the schedule.
+// the default platform (energy.Default), as fillSchedule does, and
+// returns the schedule.
 func priceOps(ops []Op, mode tile.Mode, cfg tile.Config) []Op {
 	m := energy.Default()
 	idx := recoveryIndexBytes(cfg)

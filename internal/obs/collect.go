@@ -257,7 +257,9 @@ func (c *collector) finish() *RunStats {
 
 // Fill registers the run's statistics in a metrics registry: run-level
 // counters plus the per-layer latency/energy, power-cycle-utilization
-// and re-execution histograms the paper's analysis calls for.
+// and re-execution histograms the paper's analysis calls for. The cycle
+// metrics come from s.Cycles, which a Hub device leaves empty: the device
+// adds the cycles it folded to its metrics itself.
 func (s *RunStats) Fill(m *Metrics) {
 	m.Counter("run/ops").AddInt(s.Total.Ops)
 	m.Counter("run/op_attempts").AddInt(s.Total.Starts)
