@@ -38,7 +38,8 @@ type Hub struct {
 
 // HubDevice is one device's private lane into the Hub. It implements
 // Tracer; hand it to an Engine, CostSim or power.Sim as their trace
-// sink.
+// sink. It holds O(layers) memory: per-layer statistics, totals, and
+// its power cycles folded into a count and a utilization histogram.
 type HubDevice struct {
 	Name string
 
