@@ -87,6 +87,7 @@ type Pass struct {
 	diags *[]Diagnostic
 	allow string // directive suffix suppressing this analyzer
 	name  string
+	funcs *funcTable // the run's table, for its shared control-flow graphs
 }
 
 // Reportf records a finding unless a matching allow directive covers the
@@ -181,6 +182,7 @@ func (mp *ModulePass) Pass(pkg *Package) *Pass {
 		diags: diags,
 		allow: mp.allow,
 		name:  mp.name,
+		funcs: mp.funcs,
 	}
 	mp.passes[pkg] = p
 	return p
@@ -194,15 +196,15 @@ func (mp *ModulePass) Pass(pkg *Package) *Pass {
 // surfaced their errors as diagnostics).
 func Run(analyzers []*Analyzer, pkgs []*Package, dirs *Directives) []Diagnostic {
 	clean := cleanPkgs(pkgs)
+	table := &funcTable{pkgs: clean, dirs: dirs}
 	var diags []Diagnostic
 	for _, pkg := range clean {
 		for _, a := range analyzers {
 			if a.Run != nil && (a.Scope == nil || a.Scope(pkg.Path)) {
-				diags = append(diags, runPkg(a, pkg, dirs)...)
+				diags = append(diags, runPkg(a, pkg, table)...)
 			}
 		}
 	}
-	table := &funcTable{pkgs: clean, dirs: dirs}
 	for _, a := range analyzers {
 		if a.RunModule != nil {
 			diags = append(diags, runModule(a, table, a.Scope)...)
@@ -247,10 +249,11 @@ func cleanPkgs(pkgs []*Package) []*Package {
 // whose import paths the Scope would reject. A module-level analyzer is
 // run with that package as the whole module.
 func RunOne(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
+	table := &funcTable{pkgs: []*Package{pkg}, dirs: dirs}
 	if a.RunModule != nil {
-		return runModule(a, &funcTable{pkgs: []*Package{pkg}, dirs: dirs}, nil)
+		return runModule(a, table, nil)
 	}
-	return runPkg(a, pkg, dirs)
+	return runPkg(a, pkg, table)
 }
 
 // runModule runs a module-level analyzer once over the table's
@@ -271,16 +274,19 @@ func runModule(a *Analyzer, table *funcTable, scope func(string) bool) []Diagnos
 	return diags
 }
 
-func runPkg(a *Analyzer, pkg *Package, dirs *Directives) []Diagnostic {
+// runPkg runs a per-package analyzer over one package of the table's
+// run.
+func runPkg(a *Analyzer, pkg *Package, table *funcTable) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{
 		Fset:  pkg.Fset,
 		Pkg:   pkg,
 		Info:  pkg.Info,
-		Dirs:  dirs,
+		Dirs:  table.dirs,
 		diags: &diags,
 		allow: a.Allow,
 		name:  a.Name,
+		funcs: table,
 	}
 	a.Run(pass)
 	return diags

@@ -334,15 +334,19 @@ func TestFileSelectionMatchesGoTool(t *testing.T) {
 }
 
 func TestMalformedConstraintRecorded(t *testing.T) {
-	// A //go:build line go/build cannot parse fails the go tool's build;
-	// the loader records it instead of dropping or including the file.
-	dir := writeModule(t, "m", map[string]string{
-		"a.go": "package m\n\nconst A = 1\n",
-		"b.go": "//go:build linux &&\n\npackage m\n\nconst B = 2\n",
-	})
-	_, pkgs := loadModule(t, dir)
-	if len(pkgs) != 1 || len(pkgs[0].Errs) == 0 {
-		t.Fatal("malformed build constraint not recorded in pkg.Errs")
+	// A //go:build line go/build cannot parse fails the go tool's build,
+	// in a test file too; the loader records it instead of dropping or
+	// including the file. Only standard-library packages are resolved
+	// without reading their test files.
+	for _, name := range []string{"b.go", "b_test.go"} {
+		dir := writeModule(t, "m", map[string]string{
+			"a.go": "package m\n\nconst A = 1\n",
+			name:   "//go:build linux &&\n\npackage m\n\nconst B = 2\n",
+		})
+		_, pkgs := loadModule(t, dir)
+		if len(pkgs) != 1 || len(pkgs[0].Errs) == 0 {
+			t.Fatalf("%s: malformed build constraint not recorded in pkg.Errs", name)
+		}
 	}
 }
 

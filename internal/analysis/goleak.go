@@ -126,7 +126,7 @@ func isChanType(pkg *Package, e ast.Expr) bool {
 // prior close reaches is a guaranteed panic on that path.
 func checkCloseDiscipline(mp *ModulePass, s *funcSummary) {
 	pkg := s.pkg
-	g := flow.Build(s.decl.Body)
+	g := mp.funcs.cfg(s.decl.Body)
 	entry := flow.Forward(g,
 		map[types.Object]bool{},
 		func() map[types.Object]bool { return nil }, // nil: no path reaches the block yet

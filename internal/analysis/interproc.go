@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"iprune/internal/analysis/flow"
 )
 
 // FloatFlow and AllocFlow propagate the floatpurity and hotalloc
@@ -126,7 +128,9 @@ type funcSummary struct {
 // Run and RunOne build it the first time a module analyzer asks for it
 // (ModulePass.table); every module analyzer of the run then reads the
 // same table, devirtualizer and float/alloc closure, and none changes
-// what they record.
+// what they record. The table also holds the control-flow graph of each
+// function body an analyzer of the run has asked for (cfg), per-package
+// analyzers included, so each body's graph is built once per run.
 type funcTable struct {
 	pkgs  []*Package
 	dirs  *Directives
@@ -136,6 +140,22 @@ type funcTable struct {
 	index  map[*types.Func]*funcSummary
 	floats []floatSite // file and visit order, package level included
 	dv     *devirtualizer
+	graphs map[*ast.BlockStmt]*flow.Graph
+}
+
+// cfg returns the control-flow graph of one function body, built the
+// first time an analyzer of the run asks for it. Analyzers share the
+// graph and only read it.
+func (t *funcTable) cfg(body *ast.BlockStmt) *flow.Graph {
+	g := t.graphs[body]
+	if g == nil {
+		if t.graphs == nil {
+			t.graphs = map[*ast.BlockStmt]*flow.Graph{}
+		}
+		g = flow.Build(body)
+		t.graphs[body] = g
+	}
+	return g
 }
 
 // build walks every declaration of every package once, resolves the
@@ -183,6 +203,15 @@ type devirtualizer struct {
 	modulePkgs map[*types.Package]bool
 	index      map[*types.Func]*funcSummary
 	memo       map[*types.Func][]*types.Func
+	impls      map[*types.Named][]implementer
+}
+
+// implementer is one module type implementing an interface: the
+// receiver its methods are looked up on (the type or a pointer to it)
+// and the package declaring the type.
+type implementer struct {
+	recv types.Type
+	pkg  *types.Package
 }
 
 // newDevirtualizer builds a resolver over the module's packages; index
@@ -200,6 +229,7 @@ func newDevirtualizer(pkgs []*Package, index map[*types.Func]*funcSummary) *devi
 		modulePkgs: modulePkgs,
 		index:      index,
 		memo:       map[*types.Func][]*types.Func{},
+		impls:      map[*types.Named][]implementer{},
 	}
 }
 
@@ -225,6 +255,34 @@ func (dv *devirtualizer) resolve(m *types.Func) []*types.Func {
 	}
 	var impls []*types.Func
 	seen := map[*types.Func]bool{}
+	for _, im := range dv.implementers(named, iface) {
+		obj, _, _ := types.LookupFieldOrMethod(im.recv, true, im.pkg, m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || seen[fn] {
+			continue
+		}
+		if _, ok := dv.index[fn]; !ok {
+			continue // promoted from outside the module: no summary
+		}
+		seen[fn] = true
+		impls = append(impls, fn)
+	}
+	if len(impls) > devirtMaxImpls {
+		impls = nil // open plug-in surface: leave unresolved
+	}
+	dv.memo[m] = impls
+	return impls
+}
+
+// implementers returns the module types implementing the interface
+// named, directly or through a pointer, in package and scope order. It
+// scans every named type once per interface, however many of the
+// interface's methods are resolved.
+func (dv *devirtualizer) implementers(named *types.Named, iface *types.Interface) []implementer {
+	if ims, ok := dv.impls[named]; ok {
+		return ims
+	}
+	var ims []implementer
 	for _, pkg := range dv.pkgs {
 		if pkg.Types == nil {
 			continue
@@ -239,32 +297,16 @@ func (dv *devirtualizer) resolve(m *types.Func) []*types.Func {
 			if types.IsInterface(T) {
 				continue
 			}
-			var recv types.Type
 			switch {
 			case types.Implements(T, iface):
-				recv = T
+				ims = append(ims, implementer{T, tn.Pkg()})
 			case types.Implements(types.NewPointer(T), iface):
-				recv = types.NewPointer(T)
-			default:
-				continue
+				ims = append(ims, implementer{types.NewPointer(T), tn.Pkg()})
 			}
-			obj, _, _ := types.LookupFieldOrMethod(recv, true, tn.Pkg(), m.Name())
-			fn, ok := obj.(*types.Func)
-			if !ok || seen[fn] {
-				continue
-			}
-			if _, ok := dv.index[fn]; !ok {
-				continue // promoted from outside the module: no summary
-			}
-			seen[fn] = true
-			impls = append(impls, fn)
 		}
 	}
-	if len(impls) > devirtMaxImpls {
-		impls = nil // open plug-in surface: leave unresolved
-	}
-	dv.memo[m] = impls
-	return impls
+	dv.impls[named] = ims
+	return ims
 }
 
 // walk records the float sites of one declaration and, when s is its

@@ -31,7 +31,8 @@ type Package struct {
 // files as the go tool would. Module-internal imports are resolved
 // recursively from the module tree; every other import goes to the
 // loader's own standard-library importer, which type-checks each
-// package once, from source, without its function bodies.
+// package once, from source, without its function bodies and only as
+// far as an importer can see it (see stdImporter).
 type Loader struct {
 	ModulePath string
 	RootDir    string

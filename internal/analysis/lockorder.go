@@ -116,7 +116,7 @@ func runLockOrder(mp *ModulePass) {
 	index := make(map[*types.Func]*lockFunc, len(t.funcs))
 	for _, s := range t.funcs {
 		lf := &lockFunc{funcSummary: s}
-		lf.analyze(t.dv)
+		lf.analyze(t)
 		order = append(order, lf)
 		index[s.fn] = lf
 	}
@@ -225,8 +225,8 @@ func closeLockReach(order []*lockFunc, index map[*types.Func]*lockFunc) {
 
 // analyze runs the lock-set dataflow over one function body and records
 // acquisition and call sites with their entry lock sets.
-func (lf *lockFunc) analyze(dv *devirtualizer) {
-	g := flow.Build(lf.decl.Body)
+func (lf *lockFunc) analyze(t *funcTable) {
+	g := t.cfg(lf.decl.Body)
 	entry := flow.Forward(g,
 		lockSets{may: map[types.Object]bool{}, must: map[types.Object]bool{}},
 		func() lockSets { return lockSets{} },
@@ -250,7 +250,7 @@ func (lf *lockFunc) analyze(dv *devirtualizer) {
 			lf.transfer(n, &st, true)
 		}
 	}
-	lf.resolveCalls(dv)
+	lf.resolveCalls(t.dv)
 }
 
 // joinLockSets merges src into dst (may ∪, must ∩); reports change. The

@@ -146,7 +146,7 @@ func (pf *parsafeFunc) checkWaitGroups(fd *ast.FuncDecl) {
 	if len(wgs) == 0 {
 		return
 	}
-	g := flow.Build(fd.Body)
+	g := pf.pass.funcs.cfg(fd.Body)
 	for _, obj := range wgs {
 		pf.checkAddWait(fd, g, obj)
 		pf.checkSpawnedDone(fd.Body, obj)

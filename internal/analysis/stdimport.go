@@ -9,28 +9,35 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"iprune/internal/pool"
 )
 
 // stdImporter type-checks the packages the module imports from outside
 // itself — in practice the standard library — from source, as
-// go/importer's "source" importer does, and returns the same packages
-// for less work:
+// go/importer's "source" importer does, but only as far as an importer
+// can see them, and returns them for less work:
 //
-//   - Each package is resolved with build.Default.Import once and then
-//     memoized, rather than once per import edge.
+//   - Each package is resolved once and then memoized, rather than once
+//     per import edge. A standard-library package is resolved through
+//     stdContext, which hides _test.go files from go/build, so their
+//     headers are never read.
 //   - A package's files are parsed in parallel by parseFiles.
 //   - Function bodies are blanked before parsing (blankBodies): the
 //     type check ignores them anyway, so the parser need not build them.
-//   - Only the imports a declaration can name are imported; every other
-//     import of the package gets an empty stub (stubImporter). runtime,
-//     for one, is reached only from function bodies.
+//   - Unexported package-level funcs and vars that no kept declaration
+//     names are left out of the check (prune), as compiler export data
+//     leaves them out.
+//   - Only the imports a kept declaration can name are imported; every
+//     other import of the package gets an empty stub (stubImporter).
+//     runtime, for one, is reached only from function bodies.
 //
 // Packages are type-checked as the source importer does: function bodies
 // ignored, gc sizes for GOARCH, and the first hard type error returned
@@ -39,9 +46,14 @@ import (
 // invalid types where the source importer would run cgo (with cgo
 // enabled, unexported parts of net and os/user).
 //
-// The objects of every package it returns are the source importer's,
-// but the Imports() of a package it type-checked may list stubs: empty,
-// complete packages that no object of its API refers to.
+// Its contract is the one export data gives go vet: every exported
+// object, every type with its methods and pointer method set, and every
+// constant of a package it returns is the source importer's. The only
+// package-scope objects it may lack are unexported funcs and vars that
+// no kept declaration names; an error inside one of those goes
+// unreported, as it would with export data. The Imports() of a package
+// it type-checked may list stubs: empty, complete packages that no
+// object of its API refers to.
 type stdImporter struct {
 	fset  *token.FileSet
 	sizes types.Sizes
@@ -78,7 +90,7 @@ func (imp *stdImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types
 		return types.Unsafe, nil
 	}
 	key := path
-	if first, _, _ := strings.Cut(path, "/"); strings.Contains(first, ".") {
+	if !stdPath(path) {
 		// Only a standard-library path resolves the same from every
 		// directory; GOROOT's vendored packages do not.
 		key = dir + "\x00" + path
@@ -94,13 +106,53 @@ func (imp *stdImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types
 	return p.types, p.err
 }
 
+// stdPath reports whether path names a standard-library package: its
+// first element has no dot.
+func stdPath(path string) bool {
+	first, _, _ := strings.Cut(path, "/")
+	return !strings.Contains(first, ".")
+}
+
+// stdContext is build.Default with every _test.go file left out of the
+// directory listings, so that resolving a standard-library package does
+// not read the headers of test files the importer never parses. Other
+// packages are resolved with build.Default itself, which also reports a
+// malformed _test.go.
+var stdContext = func() build.Context {
+	ctxt := build.Default
+	ctxt.ReadDir = func(dir string) ([]fs.FileInfo, error) {
+		entries, err := os.ReadDir(dir)
+		var infos []fs.FileInfo
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), "_test.go") {
+				infos = append(infos, entryInfo{e})
+			}
+		}
+		return infos, err
+	}
+	return ctxt
+}()
+
+// entryInfo is the fs.FileInfo of a directory entry as go/build reads
+// it from a listing: the name and type bits, without a stat.
+type entryInfo struct{ fs.DirEntry }
+
+func (e entryInfo) Size() int64        { return 0 }
+func (e entryInfo) Mode() fs.FileMode  { return e.Type() }
+func (e entryInfo) ModTime() time.Time { return time.Time{} }
+func (e entryInfo) Sys() any           { return nil }
+
 // load resolves path from dir and type-checks the package it names,
 // unless it is already known under its canonical import path.
 func (imp *stdImporter) load(path, dir string) *stdPackage {
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs
 	}
-	bp, err := build.Default.Import(path, dir, 0)
+	ctxt := &build.Default
+	if stdPath(path) {
+		ctxt = &stdContext
+	}
+	bp, err := ctxt.Import(path, dir, 0)
 	if err != nil {
 		return &stdPackage{err: err, checked: true}
 	}
@@ -124,16 +176,19 @@ func (imp *stdImporter) check(bp *build.Package) (*types.Package, error) {
 	return imp.checkFiles(bp.ImportPath, files, len(bp.CgoFiles) > 0)
 }
 
-// checkFiles type-checks files as the package path, first with the
-// imports its declarations do not need stubbed and, if that check
-// reports an error, again with every import real. A stubbed import
-// whose name was guessed wrong (an unnamed math/rand/v2 is named rand,
-// not v2) leaves a name undefined, so the stubs can only skip work:
-// when the stubbed check succeeds, no declaration went through a stub.
-// The second check gets the same files, which a check with nil Info
-// does not change.
+// checkFiles type-checks what an importer can see of files as the
+// package path: first the declarations prune keeps, with the imports
+// they do not name stubbed, and, if that check reports an error, every
+// declaration again with every import real. A stubbed import whose name
+// was guessed wrong (an unnamed math/rand/v2 is named rand, not v2)
+// leaves a name undefined, so the stubs can only skip work: when the
+// stubbed check succeeds, no kept declaration went through a stub, and
+// when it fails, the package and its error are the full check's. The
+// second check gets the same files, which neither prune nor a check with
+// nil Info changes.
 func (imp *stdImporter) checkFiles(path string, files []*ast.File, cgo bool) (*types.Package, error) {
-	pkg, err := imp.typeCheck(path, files, cgo, imp.stubbing(files))
+	kept, stubs := imp.prune(files)
+	pkg, err := imp.typeCheck(path, kept, cgo, stubs)
 	if err != nil {
 		pkg, err = imp.typeCheck(path, files, cgo, imp)
 	}
@@ -167,39 +222,119 @@ func (imp *stdImporter) typeCheck(path string, files []*ast.File, cgo bool, impo
 	return pkg, nil
 }
 
-// stubImporter is the importer of one check that ignores function
-// bodies. Such a check needs only the imports that a declaration names,
-// and Go source names a package only as the base X of a selector X.Sel.
-// So an import is needed when it is a dot import, when its local name —
-// its explicit name, or else the last element of its path — is the base
-// of a selector anywhere in the package's files, or when it is unsafe.
-// Needed paths go to the shared importer; every other path gets a stub,
-// an empty, complete package of the guessed name that is never resolved
-// with go/build and never memoized, so a later real import of the same
-// path loads the real package. The scan covers whatever the blanked
-// files keep (function literals in var initializers, bodies holding a
-// //line directive), which can only add needed imports. Cgo's "C" never
-// reaches an importer: the check fakes it.
+// stubImporter is the importer of one check of the declarations prune
+// keeps, which ignores function bodies. Such a check needs only the
+// imports that a kept declaration names, and Go source names a package
+// only as the base X of a selector X.Sel. So an import is needed when it
+// is a dot import, when its local name — its explicit name, or else the
+// last element of its path — is the base of a selector in a kept
+// declaration, or when it is unsafe. Needed paths go to the shared
+// importer; every other path gets a stub, an empty, complete package of
+// the guessed name that is never resolved with go/build and never
+// memoized, so a later real import of the same path loads the real
+// package. Cgo's "C" never reaches an importer: the check fakes it.
 type stubImporter struct {
 	imp    *stdImporter
 	needed map[string]bool // import paths that are imported for real
 }
 
-// stubbing returns the stubImporter for a check of files.
-func (imp *stdImporter) stubbing(files []*ast.File) *stubImporter {
-	bases := map[string]bool{}
+// prune returns what an importer can see of a package's files, and the
+// stubImporter to check it with. It drops every unexported package-level
+// func without a receiver (init included) and every var spec without an
+// exported name (blank specs included) that no kept declaration names.
+// Imports, types, consts, methods and exported funcs and vars are kept,
+// and so is a func or var whose name occurs in a kept declaration: in
+// its signature, receiver, type, initializer or constant expression, so
+// len(tbl) or unsafe.Sizeof(v) in a constant keeps tbl or v. The kept
+// set is a fixpoint over identifiers, grown from the always-kept
+// declarations by walking each newly kept one once; the same walk
+// collects the selector bases the stubs are decided from. A name counts
+// wherever it occurs, as a local or a field key too, so the rule can
+// only keep more than needed. Function bodies are never walked: the
+// check ignores them, blanked or not. The files themselves are not
+// changed; a file that loses declarations is returned as a shallow copy.
+func (imp *stdImporter) prune(files []*ast.File) ([]*ast.File, *stubImporter) {
+	hidden := map[string][]ast.Node{} // droppable declarations by name
+	var roots []ast.Node
 	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok {
-					bases[x.Name] = true
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !droppable(d) {
+					roots = append(roots, d)
+				} else if name := d.Name.Name; name != "init" && name != "_" {
+					hidden[name] = append(hidden[name], d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if d.Tok != token.VAR || !droppable(spec) {
+						roots = append(roots, spec)
+						continue
+					}
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if id.Name != "_" {
+							hidden[id.Name] = append(hidden[id.Name], spec)
+						}
+					}
 				}
 			}
-			return true
-		})
+		}
 	}
+
+	kept := map[ast.Node]bool{}
+	bases := map[string]bool{}
+	work := roots
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			for _, d := range hidden[n.Name] {
+				if !kept[d] {
+					kept[d] = true
+					work = append(work, d)
+				}
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				bases[x.Name] = true
+			}
+			ast.Inspect(n.X, visit) // Sel names a field, method or another package's object
+			return false
+		case *ast.Field:
+			if n.Type != nil {
+				ast.Inspect(n.Type, visit) // Names declare, they do not name
+			}
+			return false
+		}
+		return true
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch d := n.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				ast.Inspect(d.Recv, visit)
+			}
+			ast.Inspect(d.Type, visit)
+		case *ast.ValueSpec:
+			if d.Type != nil {
+				ast.Inspect(d.Type, visit)
+			}
+			for _, v := range d.Values {
+				ast.Inspect(v, visit)
+			}
+		case *ast.TypeSpec:
+			if d.TypeParams != nil {
+				ast.Inspect(d.TypeParams, visit)
+			}
+			ast.Inspect(d.Type, visit)
+		}
+	}
+
 	needed := map[string]bool{"unsafe": true}
-	for _, f := range files {
+	out := make([]*ast.File, len(files))
+	for i, f := range files {
 		for _, spec := range f.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
@@ -213,8 +348,63 @@ func (imp *stdImporter) stubbing(files []*ast.File) *stubImporter {
 				needed[path] = true
 			}
 		}
+		decls := make([]ast.Decl, 0, len(f.Decls))
+		changed := false
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if droppable(d) && !kept[d] {
+					changed = true
+					continue
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					break
+				}
+				specs := make([]ast.Spec, 0, len(d.Specs))
+				for _, spec := range d.Specs {
+					if !droppable(spec) || kept[spec] {
+						specs = append(specs, spec)
+					}
+				}
+				if len(specs) < len(d.Specs) {
+					changed = true
+					if len(specs) == 0 {
+						continue
+					}
+					gd := *d
+					gd.Specs = specs
+					decl = &gd
+				}
+			}
+			decls = append(decls, decl)
+		}
+		out[i] = f
+		if changed {
+			pf := *f
+			pf.Decls = decls
+			out[i] = &pf
+		}
 	}
-	return &stubImporter{imp: imp, needed: needed}
+	return out, &stubImporter{imp: imp, needed: needed}
+}
+
+// droppable reports whether prune may leave out a declaration: an
+// unexported func without a receiver, or a var spec (a value spec of a
+// var declaration) without an exported name.
+func droppable(n ast.Node) bool {
+	switch d := n.(type) {
+	case *ast.FuncDecl:
+		return d.Recv == nil && !d.Name.IsExported()
+	case *ast.ValueSpec:
+		for _, id := range d.Names {
+			if id.IsExported() {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // guessName guesses a package's name from its import path: the path's

@@ -20,11 +20,11 @@ import (
 // TestStdImporterMatchesSource imports every standard-library package
 // this repository imports through the loader's importer and through
 // go/importer's source importer. Every root is type-checked, never
-// stubbed; every package the loader's importer type-checked renders as
-// the source importer's does (each package-scope object, the methods and
-// pointer method set of each named type, and each constant's value) and
-// names no stub in that rendering; every stub it handed out is empty and
-// complete and imports nothing.
+// stubbed; every package the loader's importer type-checked holds what
+// an importer sees of the source importer's (apiDiffs: each object it
+// has renders the same, and each it lacks is an unexported package-level
+// func or var) and names no stub in that rendering; every stub it handed
+// out is empty and complete and imports nothing.
 func TestStdImporterMatchesSource(t *testing.T) {
 	l, _ := loadModule(t, filepath.Join("..", ".."))
 	checked := typeChecked(l.std)
@@ -47,7 +47,7 @@ func TestStdImporterMatchesSource(t *testing.T) {
 	}
 	sort.Strings(roots)
 	want := importClosure(t, importer.ForCompiler(token.NewFileSet(), "source", nil), roots)
-	diffs, stubs := 0, 0
+	diffs, stubs, lacking := 0, 0, 0
 	for gp := range checked {
 		path := gp.Path()
 		for _, q := range gp.Imports() {
@@ -64,31 +64,59 @@ func TestStdImporterMatchesSource(t *testing.T) {
 			continue
 		}
 		refs := map[*types.Package]bool{}
-		g, w := describePackage(gp, refs), describePackage(wp, nil)
+		d, n := apiDiffs(gp, wp, refs)
+		lacking += n
 		for q := range refs {
 			if !checked[q] {
 				t.Errorf("%s: its API names the stub %s", path, q.Path())
 			}
 		}
-		for i := 0; i < len(g) || i < len(w); i++ {
-			if i >= len(g) || i >= len(w) || g[i] != w[i] {
-				diffs++
-				if diffs <= 10 {
-					t.Errorf("%s: first difference at line %d:\n got  %q\n want %q", path, i, line(g, i), line(w, i))
-				}
-				break
+		if len(d) > 0 {
+			diffs++
+			if diffs <= 10 {
+				t.Errorf("%s: %d differences, the first: %s", path, len(d), d[0])
 			}
 		}
 	}
-	t.Logf("%d roots: the source importer's closure has %d packages; %d type-checked (unsafe aside), %d differ, %d stubbed imports",
-		len(roots), len(want), len(checked)-1, diffs, stubs)
+	t.Logf("%d roots: the source importer's closure has %d packages; %d type-checked (unsafe aside), %d differ, %d stubbed imports, %d unexported funcs and vars left out",
+		len(roots), len(want), len(checked)-1, diffs, stubs, lacking)
 }
 
-func line(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
+// apiDiffs compares got, a package as the importer returns it, with
+// want, the same package checked in full: every package-scope object of
+// got must render as want's does (describeObject), and every object of
+// want that got lacks must be an unexported package-level func or var.
+// It returns one line per difference and the number of objects got
+// lacks, adding to refs (when not nil) every package got's rendering
+// names.
+func apiDiffs(got, want *types.Package, refs map[*types.Package]bool) (diffs []string, lacking int) {
+	if got.Name() != want.Name() {
+		diffs = append(diffs, fmt.Sprintf("package %s, want %s", got.Name(), want.Name()))
 	}
-	return "<none>"
+	gs, ws := got.Scope(), want.Scope()
+	for _, name := range gs.Names() {
+		if ws.Lookup(name) == nil {
+			diffs = append(diffs, fmt.Sprintf("has %s, which the full check lacks", types.ObjectString(gs.Lookup(name), nil)))
+		}
+	}
+	for _, name := range ws.Names() {
+		w, g := ws.Lookup(name), gs.Lookup(name)
+		if g == nil {
+			lacking++
+			switch w.(type) {
+			case *types.Func, *types.Var:
+				if !w.Exported() {
+					continue
+				}
+			}
+			diffs = append(diffs, fmt.Sprintf("lacks %s", types.ObjectString(w, nil)))
+			continue
+		}
+		if gl, wl := describeObject(g, refs), describeObject(w, nil); !slices.Equal(gl, wl) {
+			diffs = append(diffs, fmt.Sprintf("got %q, want %q", gl, wl))
+		}
+	}
+	return diffs, lacking
 }
 
 // typeChecked returns the packages imp has type-checked, and unsafe.
@@ -126,6 +154,30 @@ func importClosure(t *testing.T, imp types.Importer, roots []string) map[string]
 	return pkgs
 }
 
+// TestStdContextHidesTestFiles checks that stdContext resolves a
+// standard-library package to the directory and files build.Default
+// does, without listing a test file.
+func TestStdContextHidesTestFiles(t *testing.T) {
+	for _, path := range []string{"errors", "math", "os", "runtime/cgo", "strconv", "sync"} {
+		want, err := build.Default.Import(path, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stdContext.Import(path, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Dir != want.Dir || got.ImportPath != want.ImportPath ||
+			!slices.Equal(got.GoFiles, want.GoFiles) || !slices.Equal(got.CgoFiles, want.CgoFiles) {
+			t.Errorf("%s: resolved to %s %q %q, want %s %q %q", path,
+				got.Dir, got.GoFiles, got.CgoFiles, want.Dir, want.GoFiles, want.CgoFiles)
+		}
+		if n := len(got.TestGoFiles) + len(got.XTestGoFiles); n > 0 {
+			t.Errorf("%s: %d test files listed", path, n)
+		}
+	}
+}
+
 // TestStubFallback checks the check with every import real that follows
 // a failed stubbed check: the name guessed for an unnamed math/rand/v2
 // is v2, so a declaration naming rand fails the stubbed check.
@@ -144,7 +196,8 @@ func TestStubFallback(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	if _, err := imp.typeCheck("p", files, false, imp.stubbing(files)); err == nil || !strings.Contains(err.Error(), "undefined: rand") {
+	kept, stubs := imp.prune(files)
+	if _, err := imp.typeCheck("p", kept, false, stubs); err == nil || !strings.Contains(err.Error(), "undefined: rand") {
 		t.Fatalf("stubbed check: error %v, want undefined: rand", err)
 	}
 	pkg, err := imp.check(bp)
@@ -153,6 +206,71 @@ func TestStubFallback(t *testing.T) {
 	}
 	if got := pkg.Scope().Lookup("R").Type().String(); got != "*math/rand/v2.Rand" {
 		t.Errorf("R has type %s, want *math/rand/v2.Rand", got)
+	}
+}
+
+// TestPruneKeepsWhatDeclarationsName pins what prune keeps of one
+// package: the names its kept declarations reach, directly or through
+// other kept funcs and vars, and nothing unexported beyond them; and
+// which imports stay real.
+func TestPruneKeepsWhatDeclarationsName(t *testing.T) {
+	src := `package p
+
+import (
+	"errors"
+	"strconv"
+	"strings"
+	"unsafe"
+)
+
+var tbl = [...]int{1, 2, 3}
+const N = len(tbl)
+
+var sz int64
+type A [unsafe.Sizeof(sz)]byte
+
+func helper(strconv.NumError) {}
+var Exported = helper
+
+var Y = chain1
+var chain1 = chain2
+var chain2 = 1
+
+var a, B = 1, 2
+
+type T struct{ field int }
+func (T) method(int) {}
+
+var dropped = strings.Repeat("a", 2)
+func unused() {}
+func init() {}
+var _ = errors.New("x")
+func field() {}
+`
+	imp := newStdImporter(token.NewFileSet())
+	file, err := parser.ParseFile(imp.fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, stubs := imp.prune([]*ast.File{file})
+	pkg, err := imp.typeCheck("p", kept, false, stubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"A", "B", "Exported", "N", "T", "Y", "a", "chain1", "chain2", "helper", "sz", "tbl"}
+	if got := pkg.Scope().Names(); !slices.Equal(got, want) {
+		t.Errorf("kept %q, want %q", got, want)
+	}
+	var needed []string
+	for path := range stubs.needed {
+		needed = append(needed, path)
+	}
+	sort.Strings(needed)
+	if want := []string{"strconv", "unsafe"}; !slices.Equal(needed, want) {
+		t.Errorf("real imports %q, want %q", needed, want)
+	}
+	if len(file.Decls) != 18 {
+		t.Errorf("prune changed its input: %d declarations, want 18", len(file.Decls))
 	}
 }
 
@@ -179,19 +297,27 @@ var stubFiles = [2][]stubImport{
 	},
 }
 
-// stubSites is how many places a declaration can name an import from:
-// a type declaration, a var initializer, a function literal in a var
-// initializer (its signature and its body), a function signature, a
-// function body only, or nowhere.
-const stubSites = 6
+// stubSites is how many places a declaration can name an import from.
+// Sites 0-5 are kept declarations: a type declaration, a var
+// initializer, a function literal in a var initializer (its signature
+// and its body), a function signature, a function body only, or
+// nowhere. Sites 6-15 are declarations prune may leave out, each named
+// by no kept declaration or by one that keeps it: an unexported array
+// var whose initializer names the import (unnamed, or named by an
+// exported var's initializer, a len constant or an unsafe.Sizeof array
+// length), and an unexported function whose signature names it, or
+// whose body only does (unnamed, or named by an exported var's
+// initializer or an unsafe.Sizeof array length).
+const stubSites = 16
 
 // stubSource writes the two files of one FuzzStubImports input: each
 // byte adds one declaration, in file b>>7, naming import (b&127)%n from
-// site (b&127)/n%stubSites, where n is that file's import count.
+// site (b&127)/n%stubSites, where n is that file's import count. Both
+// files import unsafe besides, for the Sizeof sites.
 func stubSource(decls []byte) [2][]byte {
 	var src [2]bytes.Buffer
 	for f, imports := range stubFiles {
-		src[f].WriteString("package p\n\nimport (\n")
+		src[f].WriteString("package p\n\nimport (\n\t\"unsafe\"\n")
 		for _, imp := range imports {
 			fmt.Fprintf(&src[f], "\t%s\n", imp.spec)
 		}
@@ -204,29 +330,56 @@ func stubSource(decls []byte) [2][]byte {
 		if imp.typ == "" {
 			continue
 		}
-		switch int(b&127) / n % stubSites {
-		case 0:
+		site := int(b&127) / n % stubSites
+		switch {
+		case site == 0:
 			fmt.Fprintf(w, "type T%d %s\n", i, imp.typ)
-		case 1:
+		case site == 1:
 			fmt.Fprintf(w, "var V%d = %s\n", i, imp.val)
-		case 2:
+		case site == 2:
 			fmt.Fprintf(w, "var L%d = func(%s) any { return %s }\n", i, imp.typ, imp.val)
-		case 3:
+		case site == 3:
 			fmt.Fprintf(w, "func S%d(%s) {}\n", i, imp.typ)
-		case 4:
+		case site == 4:
 			fmt.Fprintf(w, "func B%d() any { return %s }\n", i, imp.val)
+		case site >= 6 && site < 10:
+			fmt.Fprintf(w, "var a%d = [1]any{%s}\n", i, imp.val)
+			switch site {
+			case 7:
+				fmt.Fprintf(w, "var E%d = a%d\n", i, i)
+			case 8:
+				fmt.Fprintf(w, "const C%d = len(a%d)\n", i, i)
+			case 9:
+				fmt.Fprintf(w, "type A%d [unsafe.Sizeof(a%d)]byte\n", i, i)
+			}
+		case site >= 10:
+			name := fmt.Sprintf("s%d", i)
+			if site < 13 {
+				fmt.Fprintf(w, "func %s(%s) {}\n", name, imp.typ)
+			} else {
+				name = fmt.Sprintf("b%d", i)
+				fmt.Fprintf(w, "func %s() any { return %s }\n", name, imp.val)
+			}
+			switch (site - 10) % 3 {
+			case 1:
+				fmt.Fprintf(w, "var E%d = %s\n", i, name)
+			case 2:
+				fmt.Fprintf(w, "type A%d [unsafe.Sizeof(%s)]byte\n", i, name)
+			}
 		}
 	}
 	return [2][]byte{src[0].Bytes(), src[1].Bytes()}
 }
 
-// FuzzStubImports checks the stub rule against a check with every import
-// real, over generated declarations that name a fixed import set from
-// every kind of place: the importer's result (the stubbed check, and the
-// full check when that one fails) renders as the full check's does, or
-// fails with its error, and a stubbed check that succeeds renders the
-// same too. One importer serves every input, so each input checks only
-// its own small package.
+// FuzzStubImports checks the importer against a full check of the same
+// sources with every import real, over generated declarations that name
+// a fixed import set from every kind of place, kept or prunable: the
+// importer's result (the pruned, stubbed check, and the full check when
+// that one fails) fails with the full check's error, or holds what an
+// importer sees of the full check's package (apiDiffs); so does a
+// pruned, stubbed check that succeeds. The full check gets its own
+// parse, so a prune that changed its input would show. One importer
+// serves every input, so each input checks only its own small package.
 func FuzzStubImports(f *testing.F) {
 	for site := 0; site < stubSites; site++ {
 		var decls []byte
@@ -240,12 +393,9 @@ func FuzzStubImports(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4}) // type T0 *rand.Rand, rand being the unnamed math/rand/v2
 	imp := newStdImporter(token.NewFileSet())
-	f.Fuzz(func(t *testing.T, decls []byte) {
-		if len(decls) > 64 {
-			return
-		}
+	parse := func(t *testing.T, srcs [2][]byte) []*ast.File {
 		var files []*ast.File
-		for i, src := range stubSource(decls) {
+		for i, src := range srcs {
 			blankBodies(src)
 			file, err := parser.ParseFile(imp.fset, fmt.Sprintf("p%d.go", i), src, parser.SkipObjectResolution)
 			if err != nil {
@@ -253,7 +403,14 @@ func FuzzStubImports(f *testing.F) {
 			}
 			files = append(files, file)
 		}
-		full, fullErr := imp.typeCheck("p", files, false, imp)
+		return files
+	}
+	f.Fuzz(func(t *testing.T, decls []byte) {
+		if len(decls) > 64 {
+			return
+		}
+		files := parse(t, stubSource(decls))
+		full, fullErr := imp.typeCheck("p", parse(t, stubSource(decls)), false, imp)
 		got, err := imp.checkFiles("p", files, false)
 		if fullErr != nil || err != nil {
 			if fmt.Sprint(err) != fmt.Sprint(fullErr) {
@@ -261,13 +418,13 @@ func FuzzStubImports(f *testing.F) {
 			}
 			return
 		}
-		want := describePackage(full, nil)
-		if g := describePackage(got, nil); !slices.Equal(g, want) {
-			t.Fatalf("packages differ:\n got  %q\n want %q", g, want)
+		if d, _ := apiDiffs(got, full, nil); len(d) > 0 {
+			t.Fatalf("importer's package differs from the full check:\n%s", strings.Join(d, "\n"))
 		}
-		if stubbed, err := imp.typeCheck("p", files, false, imp.stubbing(files)); err == nil {
-			if g := describePackage(stubbed, nil); !slices.Equal(g, want) {
-				t.Fatalf("stubbed check succeeded with another package:\n got  %q\n want %q", g, want)
+		kept, stubs := imp.prune(files)
+		if stubbed, err := imp.typeCheck("p", kept, false, stubs); err == nil {
+			if d, _ := apiDiffs(stubbed, full, nil); len(d) > 0 {
+				t.Fatalf("pruned, stubbed check succeeded with another package:\n%s", strings.Join(d, "\n"))
 			}
 		}
 	})
@@ -275,7 +432,9 @@ func FuzzStubImports(f *testing.F) {
 
 // BenchmarkStdImport is the std-import rung: a fresh importer per
 // iteration imports what perfbench's lint corpus imports from the
-// standard library. It reports the packages type-checked and the files
+// standard library, each package resolved without reading its test
+// files and type-checked only as far as an importer can see it (prune
+// and its stubs). It reports the packages type-checked and the files
 // parsed.
 func BenchmarkStdImport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -297,32 +456,40 @@ func BenchmarkStdImport(b *testing.B) {
 // describePackage renders what an importer of p can see of it, adding
 // to refs (when not nil) every package the rendering names.
 func describePackage(p *types.Package, refs map[*types.Package]bool) []string {
+	lines := []string{"package " + p.Name()}
+	scope := p.Scope()
+	for _, name := range scope.Names() {
+		lines = append(lines, describeObject(scope.Lookup(name), refs)...)
+	}
+	return lines
+}
+
+// describeObject renders one package-scope object as an importer sees
+// it: the object, a constant's value, and the methods and pointer
+// method set of a named type. It adds to refs (when not nil) every
+// package the rendering names.
+func describeObject(obj types.Object, refs map[*types.Package]bool) []string {
 	qual := func(p *types.Package) string {
 		if refs != nil {
 			refs[p] = true
 		}
 		return p.Path()
 	}
-	lines := []string{"package " + p.Name()}
-	scope := p.Scope()
-	for _, name := range scope.Names() {
-		obj := scope.Lookup(name)
-		lines = append(lines, types.ObjectString(obj, qual))
-		switch obj := obj.(type) {
-		case *types.Const:
-			lines = append(lines, "  = "+obj.Val().ExactString())
-		case *types.TypeName:
-			named, ok := obj.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				lines = append(lines, "  method "+types.ObjectString(named.Method(i), qual))
-			}
-			mset := types.NewMethodSet(types.NewPointer(named))
-			for i := 0; i < mset.Len(); i++ {
-				lines = append(lines, "  *"+types.SelectionString(mset.At(i), qual))
-			}
+	lines := []string{types.ObjectString(obj, qual)}
+	switch obj := obj.(type) {
+	case *types.Const:
+		lines = append(lines, "  = "+obj.Val().ExactString())
+	case *types.TypeName:
+		named, ok := obj.Type().(*types.Named)
+		if !ok {
+			break
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			lines = append(lines, "  method "+types.ObjectString(named.Method(i), qual))
+		}
+		mset := types.NewMethodSet(types.NewPointer(named))
+		for i := 0; i < mset.Len(); i++ {
+			lines = append(lines, "  *"+types.SelectionString(mset.At(i), qual))
 		}
 	}
 	return lines

@@ -303,7 +303,7 @@ func (w *warFunc) identObj(e ast.Expr) types.Object {
 // then replays each block against its fixed entry state to emit
 // diagnostics exactly once.
 func (w *warFunc) analyze(body *ast.BlockStmt) {
-	g := flow.Build(body)
+	g := w.pass.funcs.cfg(body)
 	facts := flow.ForwardEdges(g,
 		warState{&pathFact{env: map[types.Object]bool{}, acc: warFact{}}},
 		func() warState { return nil },
